@@ -34,7 +34,6 @@ from .fintype import (
 )
 from .invariants import (
     DEFAULT_TRUNCATION,
-    InvariantReport,
     casson_invariant,
     jones_exp_derivative,
     jones_sublink_weight,
@@ -44,7 +43,7 @@ from .invariants import (
     psi2_knot_invariant,
     sublink_alternating_series,
 )
-from .series import HalfLaurent, IntLaurent, TruncSeries, ZLaurent
+from .series import HalfLaurent, IntLaurent, TruncSeries
 from .skein import conway, conway_a2, jones, jones_series, kauffman_bracket
 
 __version__ = "0.1.0"
@@ -55,10 +54,9 @@ __all__ = [
     "with_framings", "DiagramError", "FtikError", "ResourceLimitError",
     "SingularSeriesError", "TruncationError", "CASSON", "LAMBDA1", "LAMBDA2",
     "InvariantFunction", "d_pm", "difference_sum", "order_check",
-    "DEFAULT_TRUNCATION", "InvariantReport", "casson_invariant",
+    "DEFAULT_TRUNCATION", "casson_invariant",
     "jones_exp_derivative", "jones_sublink_weight", "normalized_jones_series",
     "ohtsuki_lambda1", "ohtsuki_lambda2", "psi2_knot_invariant",
     "sublink_alternating_series", "HalfLaurent", "IntLaurent", "TruncSeries",
-    "ZLaurent", "conway", "conway_a2", "jones", "jones_series",
-    "kauffman_bracket",
+    "conway", "conway_a2", "jones", "jones_series", "kauffman_bracket",
 ]

@@ -27,11 +27,6 @@ from .diagram import (
     with_framings,
 )
 
-#: Calibration outcome: the all-positive trefoil diagram is the RIGHT trefoil
-#: (its +1-surgery yields lambda2 = 39; the mirror yields 63).
-POSITIVE_TREFOIL_IS_RIGHT = True
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named diagram plus provenance notes and tagged expected values."""
@@ -50,19 +45,15 @@ def _unknot() -> LinkDiagram:
     return LinkDiagram((), (), (), 1, (0,), frozenset({0}))
 
 
-def _positive_trefoil() -> LinkDiagram:
-    # Closure of the positive 2-braid s^3; three positive crossings.
+def _trefoil_right() -> LinkDiagram:
+    # Closure of the positive 2-braid s^3; three positive crossings.  By the
+    # calibration above this all-positive diagram is the RIGHT trefoil: its
+    # +1-surgery yields lambda2 = 39, the mirror's yields 63.
     return closed_braid(2, [(0, 1)] * 3)
 
 
-def _trefoil_right() -> LinkDiagram:
-    d = _positive_trefoil()
-    return d if POSITIVE_TREFOIL_IS_RIGHT else mirror(d)
-
-
 def _trefoil_left() -> LinkDiagram:
-    d = _positive_trefoil()
-    return mirror(d) if POSITIVE_TREFOIL_IS_RIGHT else d
+    return mirror(_trefoil_right())
 
 
 def _figure_eight() -> LinkDiagram:

@@ -6,9 +6,13 @@ Subcommands:
 * ``verify``  -- run the verification suites and report pass/fail.
 * ``catalog`` -- list the built-in diagrams.
 
-Exit codes: 0 success; 1 a verification check failed; 2 malformed input
-(with the validation violation list); 3 insufficient truncation order
-(with the order that would suffice).
+Exit codes:
+
+* 0 -- success.
+* 1 -- a verification check (or ``--self-check``) failed.
+* 2 -- malformed input, with the validation violation list.
+* 3 -- insufficient truncation order, with an order that suffices.
+* 4 -- a resource limit was hit (the Conway resolution node budget).
 
 Truncation order precedence: ``--order`` flag, then the ``FTIK_ORDER``
 environment variable, then each operation's safe default.
@@ -30,7 +34,7 @@ from .diagram import (
     switch_crossing,
     with_framings,
 )
-from .errors import DiagramError, FtikError, TruncationError
+from .errors import DiagramError, FtikError, ResourceLimitError, TruncationError
 from .fintype import CASSON, LAMBDA2, order_check
 from .invariants import (
     casson_invariant,
@@ -48,11 +52,26 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_TRUNCATION = 3
+EXIT_RESOURCE_LIMIT = 4
 
-INVARIANTS = (
-    "casson", "lambda1", "lambda2", "psi2", "a2", "jones", "conway",
-    "phi1", "phi2", "v2", "v3", "v4",
-)
+#: The invariant table behind ``compute`` and the ``paper-values`` suite:
+#: name -> (evaluate(diagram, order), polynomial variable or None for a
+#: rational).  Entries look their function up at call time, so a function
+#: rebound on this module (e.g. by a tracer) sees every call.
+INVARIANTS = {
+    "casson": (lambda d, order: casson_invariant(SurgeryPresentation(d)), None),
+    "lambda1": (lambda d, order: ohtsuki_lambda1(SurgeryPresentation(d)), None),
+    "lambda2": (lambda d, order: ohtsuki_lambda2(SurgeryPresentation(d), order), None),
+    "psi2": (lambda d, order: psi2_knot_invariant(d, order), None),
+    "a2": (lambda d, order: conway_a2(d), None),
+    "jones": (lambda d, order: jones(d), "t"),
+    "conway": (lambda d, order: conway(d), "z"),
+    "phi1": (lambda d, order: jones_sublink_weight(d, 1, order), None),
+    "phi2": (lambda d, order: jones_sublink_weight(d, 2, order), None),
+    "v2": (lambda d, order: jones_exp_derivative(d, 2, order), None),
+    "v3": (lambda d, order: jones_exp_derivative(d, 3, order), None),
+    "v4": (lambda d, order: jones_exp_derivative(d, 4, order), None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -90,32 +109,12 @@ def resolve_order(args: argparse.Namespace) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(invariant: str, d: LinkDiagram, order: int | None) -> str:
-    if invariant == "casson":
-        return format_rational(casson_invariant(SurgeryPresentation(d)))
-    if invariant == "lambda1":
-        return format_rational(ohtsuki_lambda1(SurgeryPresentation(d)))
-    if invariant == "lambda2":
-        return format_rational(ohtsuki_lambda2(SurgeryPresentation(d), order))
-    if invariant == "psi2":
-        return format_rational(psi2_knot_invariant(d, order))
-    if invariant == "a2":
-        return format_rational(conway_a2(d))
-    if invariant == "jones":
-        return format_laurent(jones(d), "t")
-    if invariant == "conway":
-        return format_laurent(conway(d), "z")
-    if invariant in ("phi1", "phi2"):
-        return format_rational(jones_sublink_weight(d, int(invariant[-1]), order))
-    if invariant in ("v2", "v3", "v4"):
-        return format_rational(jones_exp_derivative(d, int(invariant[-1]), order))
-    raise ValueError(f"unknown invariant {invariant!r}")
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     name, d = load_link(args.link)
     order = resolve_order(args)
-    value = _evaluate(args.invariant, d, order)
+    evaluate, variable = INVARIANTS[args.invariant]
+    raw = evaluate(d, order)
+    value = format_rational(raw) if variable is None else format_laurent(raw, variable)
     payload = {"invariant": args.invariant, "link": name, "value": value}
     if args.self_check:
         phi1 = jones_sublink_weight(d, 1, order)
@@ -151,16 +150,9 @@ def _check(entries: list[dict], name: str, value, ok: bool) -> None:
 
 def _suite_paper_values(order: int | None) -> list[dict]:
     out: list[dict] = []
-    evaluators = {
-        "casson": lambda d: casson_invariant(SurgeryPresentation(d)),
-        "lambda1": lambda d: ohtsuki_lambda1(SurgeryPresentation(d)),
-        "lambda2": lambda d: ohtsuki_lambda2(SurgeryPresentation(d), order),
-        "psi2": lambda d: psi2_knot_invariant(d, order),
-        "a2": conway_a2,
-    }
     for entry in _catalog.entries():
         for inv, expected in sorted(entry.expected.items()):
-            value = evaluators[inv](entry.diagram)
+            value = INVARIANTS[inv][0](entry.diagram, order)
             _check(out, f"{entry.name}:{inv}", value, value == expected)
     unknot = _catalog.get("unknot").diagram
     _check(out, "unknot:jones", format_laurent(jones(unknot), "t"),
@@ -312,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate one invariant")
-    p_compute.add_argument("--invariant", required=True, choices=INVARIANTS)
+    p_compute.add_argument("--invariant", required=True, choices=tuple(INVARIANTS))
     p_compute.add_argument("--link", required=True,
                            help="link-file path or catalog:NAME")
     p_compute.add_argument("--format", choices=("table", "json"), default="table")
@@ -348,10 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FtikError as exc:
+        return EXIT_RESOURCE_LIMIT
+    except (FtikError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -8,8 +8,6 @@ directions.  Components that have no crossings at all cannot be expressed in
 PD form and are kept as explicit unknot markers.
 
 Diagrams are immutable values and every operation here is a pure function.
-Planarity of the code is deliberately not verified; non-planar inputs yield
-formally defined but geometrically meaningless results.
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ def _pairs(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 class _UnionFind:
-    """Union-find over arc ids that also counts joins, so a class whose join
-    count equals its size is known to have closed up into a free loop."""
+    """Union-find over arc or component ids that also counts joins, so a
+    class whose join count equals its size is known to have closed up into a
+    free loop.  An id that was never joined is its own singleton class."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
@@ -37,30 +36,33 @@ class _UnionFind:
         self.joins: dict[int, int] = {}
 
     def find(self, x: int) -> int:
-        self.parent.setdefault(x, x)
-        self.size.setdefault(x, 1)
-        self.joins.setdefault(x, 0)
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        up = parent.get(root, root)
+        while up != root:
+            root = up
+            up = parent.get(root, root)
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def join(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
+        joins = self.joins
         if rx == ry:
-            self.joins[rx] += 1
+            joins[rx] = joins.get(rx, 0) + 1
             return
-        if self.size[rx] < self.size[ry]:
+        size = self.size
+        sx, sy = size.get(rx, 1), size.get(ry, 1)
+        if sx < sy:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.joins[rx] += self.joins[ry] + 1
+        size[rx] = sx + sy
+        joins[rx] = joins.get(rx, 0) + joins.get(ry, 0) + 1
 
     def is_loop(self, x: int) -> bool:
         r = self.find(x)
-        return self.joins[r] == self.size[r]
+        return self.joins.get(r, 0) == self.size.get(r, 1)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,11 @@ class LinkDiagram:
         if violations:
             raise DiagramError(violations)
         over_in = _infer_over_in(crossings)
-        return cls.assemble(crossings, over_in, framings, unknotted_components)
+        d = cls.assemble(crossings, over_in, framings, unknotted_components)
+        violations = d._face_violations()
+        if violations:
+            raise DiagramError(violations)
+        return d
 
     @classmethod
     def assemble(
@@ -169,7 +175,8 @@ class LinkDiagram:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check all structural invariants; returns violations, never raises."""
+        """Check all structural invariants, planarity included; returns
+        violations, never raises."""
         out = pd_violations(self.crossings)
         comp_of = self.arc_to_component
         succ = _successors(self.crossings, self.over_in)
@@ -202,7 +209,55 @@ class LinkDiagram:
         for i, s in enumerate(self.over_in):
             if s not in (1, 3):
                 out.append(f"crossing {i}: over-strand entry slot must be 1 or 3")
+        return out or self._face_violations()
+
+    def _face_violations(self) -> list[str]:
+        """Euler's formula on every split piece: a planar diagram with V
+        crossings has 2V edges and so bounds exactly V + 2 faces.  A PD code
+        with virtual crossings traces fewer.  Faces are the cycles of the
+        dart map (c, s) -> (other end of the arc at slot s of c, slot + 1)."""
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for ci, cr in enumerate(self.crossings):
+            for slot, arc in enumerate(cr):
+                ends.setdefault(arc, []).append((ci, slot))
+        out = []
+        for comps, indices in self.split_pieces():
+            seen: set[tuple[int, int]] = set()
+            faces = 0
+            for dart in ((ci, slot) for ci in indices for slot in range(4)):
+                if dart in seen:
+                    continue
+                faces += 1
+                while dart not in seen:
+                    seen.add(dart)
+                    first, second = ends[self.crossings[dart[0]][dart[1]]]
+                    ci, slot = second if first == dart else first
+                    dart = (ci, (slot + 1) % 4)
+            if indices and faces != len(indices) + 2:
+                out.append(
+                    f"components {comps} are not planar: {len(indices)} crossings "
+                    f"bound {faces} faces, a planar diagram bounds {len(indices) + 2}"
+                )
         return out
+
+    def split_pieces(self) -> list[tuple[list[int], list[int]]]:
+        """The split pieces as (component indices, crossing indices) pairs,
+        ordered by smallest component.  Two components share a piece when a
+        chain of crossings connects them; an unknot marker is a piece of its
+        own with no crossings."""
+        comp_of = self.arc_to_component
+        uf = _UnionFind()
+        for a, b, _c, _e in self.crossings:
+            p, q = comp_of[a], comp_of[b]
+            if p != q:
+                uf.join(p, q)
+        roots = [uf.find(c) for c in range(self.components)]
+        pieces: dict[int, tuple[list[int], list[int]]] = {}
+        for comp, root in enumerate(roots):
+            pieces.setdefault(root, ([], []))[0].append(comp)
+        for i, cr in enumerate(self.crossings):
+            pieces[roots[comp_of[cr[0]]]][1].append(i)
+        return list(pieces.values())
 
     # -- linking data -------------------------------------------------------
 
@@ -427,22 +482,20 @@ def _cycles(succ: dict[int, int]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _switched(cr: Crossing, over_in: int) -> tuple[Crossing, int]:
+    """One crossing with over- and under-strand exchanged; the slots rotate
+    so that the old over-strand's entry becomes the under-arc slot 0."""
+    a, b, c, e = cr
+    return ((b, c, e, a), 3) if over_in == 1 else ((e, a, b, c), 1)
+
+
 def mirror(d: LinkDiagram) -> LinkDiagram:
     """Swap over- and under-strand at every crossing.  Framings are kept;
     surgery presentations negate them separately."""
-    crossings = []
-    over_in = []
-    for cr, oi in zip(d.crossings, d.over_in):
-        a, b, c, e = cr
-        if oi == 1:
-            crossings.append((b, c, e, a))
-            over_in.append(3)
-        else:
-            crossings.append((e, a, b, c))
-            over_in.append(1)
+    flipped = [_switched(cr, oi) for cr, oi in zip(d.crossings, d.over_in)]
     return LinkDiagram(
-        tuple(crossings),
-        tuple(over_in),
+        tuple(cr for cr, _oi in flipped),
+        tuple(oi for _cr, oi in flipped),
         d.arc_component,
         d.components,
         d.framings,
@@ -454,13 +507,7 @@ def switch_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
     """Exchange over- and under-strand at one crossing (a skein move)."""
     crossings = list(d.crossings)
     over_in = list(d.over_in)
-    a, b, c, e = crossings[i]
-    if over_in[i] == 1:
-        crossings[i] = (b, c, e, a)
-        over_in[i] = 3
-    else:
-        crossings[i] = (e, a, b, c)
-        over_in[i] = 1
+    crossings[i], over_in[i] = _switched(crossings[i], over_in[i])
     return LinkDiagram(
         tuple(crossings),
         tuple(over_in),
@@ -728,11 +775,6 @@ def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
     )
 
 
-def parallel_copy_components(m: int, comp: int) -> list[int]:
-    """Component indices of the m parallel copies of an original component."""
-    return [comp * m + j for j in range(m)]
-
-
 # ---------------------------------------------------------------------------
 # Braid closures (used to build catalog diagrams)
 # ---------------------------------------------------------------------------
@@ -816,16 +858,8 @@ class SurgeryPresentation:
         return self.diagram.components
 
     def mirror(self) -> "SurgeryPresentation":
-        flipped = mirror(self.diagram)
-        flipped = LinkDiagram(
-            flipped.crossings,
-            flipped.over_in,
-            flipped.arc_component,
-            flipped.components,
-            tuple(-f for f in flipped.framings),
-            flipped.marker_components,
-        )
-        return SurgeryPresentation(flipped)
+        d = self.diagram
+        return SurgeryPresentation(with_framings(mirror(d), [-f for f in d.framings]))
 
     def sub_presentation(self, keep: Iterable[int]) -> "SurgeryPresentation":
         return SurgeryPresentation(sublink(self.diagram, keep))

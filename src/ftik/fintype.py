@@ -40,10 +40,6 @@ LAMBDA1 = InvariantFunction("lambda1", ohtsuki_lambda1)
 LAMBDA2 = InvariantFunction("lambda2", ohtsuki_lambda2)
 CONSTANT_ONE = InvariantFunction("one", lambda sp: Fraction(1))
 
-REGISTRY: dict[str, InvariantFunction] = {
-    f.name: f for f in (CASSON, LAMBDA1, LAMBDA2, CONSTANT_ONE)
-}
-
 
 def d_pm(
     invariant: InvariantFunction,

@@ -25,10 +25,10 @@ Everything is exact rational arithmetic; truncation shortfalls raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
 from .errors import TruncationError
 from .series import TruncSeries, compose_exp_minus_one, laurent_to_series
@@ -38,27 +38,7 @@ from .skein import HALF_SUM, conway, conway_a2, jones_series
 #: the 2-parallel of any link with up to 5 components.
 DEFAULT_TRUNCATION = 12
 
-_X_CACHE: dict[tuple, TruncSeries] = {}
-_A2_CACHE: dict[tuple, Fraction] = {}
-_PHI_CACHE: dict[tuple, Fraction] = {}
-_LAMBDA2_CACHE: dict[tuple, Fraction] = {}
-
-
-def clear_caches() -> None:
-    _X_CACHE.clear()
-    _A2_CACHE.clear()
-    _PHI_CACHE.clear()
-    _LAMBDA2_CACHE.clear()
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """One computed invariant value with its provenance."""
-
-    name: str
-    value: Fraction
-    presentation: str
-    truncation_order: int
+clear_caches = memo.clear
 
 
 def required_order(components: int) -> int:
@@ -75,37 +55,13 @@ def normalized_jones_series(d: LinkDiagram, order: int) -> TruncSeries:
     """
     if d.components == 0:
         return TruncSeries.one(order)
-    key = (d.canonical_key(), order)
-    cached = _X_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return memo.lookup("X", (d.canonical_key(), order), _normalized_jones_series, d, order)
+
+
+def _normalized_jones_series(d: LinkDiagram, order: int) -> TruncSeries:
     numerator = jones_series(d, order)
     denom = laurent_to_series(HALF_SUM, order) ** (d.components - 1)
-    value = numerator * denom.invert()
-    _X_CACHE[key] = value
-    return value
-
-
-def _split_component_groups(d: LinkDiagram) -> list[list[int]]:
-    """Partition component indices into split pieces (two components belong
-    to the same piece when a chain of shared crossings connects them)."""
-    parent = list(range(d.components))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp_of = d.arc_to_component
-    for a, b, _c, _e in d.crossings:
-        ra, rb = find(comp_of[a]), find(comp_of[b])
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for c in range(d.components):
-        groups.setdefault(find(c), []).append(c)
-    return [groups[r] for r in sorted(groups)]
+    return numerator * denom.invert()
 
 
 def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
@@ -132,12 +88,12 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     the sublink sum factors over split pieces.  A split unknot piece has
     X(O) - X(empty) = 0, killing the whole product.
     """
-    groups = _split_component_groups(d)
-    if len(groups) <= 1:
+    pieces = d.split_pieces()
+    if len(pieces) <= 1:
         return sublink_alternating_series_naive(d, order)
     total = TruncSeries.one(order)
-    for group in groups:
-        total = total * sublink_alternating_series_naive(sublink(d, group), order)
+    for comps, _indices in pieces:
+        total = total * sublink_alternating_series_naive(sublink(d, comps), order)
         if total.is_zero():
             break
     return total
@@ -146,20 +102,17 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
 def jones_sublink_weight(d: LinkDiagram, i: int, order: int | None = None) -> Fraction:
     """The scaled derivative phi_i = (-2)^#L / (#L + i)! * Phi_(#L + i),
     where Phi_k is the k-th t-derivative of the alternating sum at t = 1."""
-    n = d.components
-    needed = n + i
+    needed = d.components + i
     if order is None:
         order = max(DEFAULT_TRUNCATION, needed)
     if needed > order:
         raise TruncationError(needed, order)
-    key = (d.canonical_key(), i)
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return memo.lookup("phi", (d.canonical_key(), i), _sublink_weight, d, needed, order)
+
+
+def _sublink_weight(d: LinkDiagram, needed: int, order: int) -> Fraction:
     phi = sublink_alternating_series(d, order)
-    value = Fraction((-2) ** n) * phi.coeff(needed)
-    _PHI_CACHE[key] = value
-    return value
+    return Fraction((-2) ** d.components) * phi.coeff(needed)
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
@@ -170,11 +123,7 @@ def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
             sub = sublink(d, keep)
-            key = sub.canonical_key()
-            a2 = _A2_CACHE.get(key)
-            if a2 is None:
-                a2 = conway_a2(sub)
-                _A2_CACHE[key] = a2
+            a2 = memo.lookup("a2", sub.canonical_key(), conway_a2, sub)
             if a2 != 0:
                 f = 1
                 for c in keep:
@@ -197,14 +146,17 @@ def ohtsuki_lambda2(sp: SurgeryPresentation, order: int | None = None) -> Fracti
     of each component are taken.  Framings of copies are inherited, so a
     doubled component contributes its framing squared.
     """
-    d = sp.diagram
-    n = d.components
+    n = sp.diagram.components
     if order is None:
         order = required_order(n)
-    cache_key = (sp.canonical_key(), order)
-    cached = _LAMBDA2_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    if n > 0 and order < 2 * n + 2:
+        # phi2 of the fully doubled cable (2n circles) needs order 2n + 2.
+        raise TruncationError(2 * n + 2, order)
+    return memo.lookup("lambda2", (sp.canonical_key(), order), _lambda2_sum, sp.diagram, order)
+
+
+def _lambda2_sum(d: LinkDiagram, order: int) -> Fraction:
+    n = d.components
     total = Fraction(0)
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
@@ -233,7 +185,6 @@ def ohtsuki_lambda2(sp: SurgeryPresentation, order: int | None = None) -> Fracti
             phi2 = jones_sublink_weight(sublink(cable, circles), 2, order)
             if phi2 != 0:
                 total += phi2 * f * Fraction(1, 2**s2)
-    _LAMBDA2_CACHE[cache_key] = total
     return total
 
 

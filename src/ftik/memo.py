@@ -1,0 +1,39 @@
+"""The memo layer: every per-diagram value that ftik caches lives here.
+
+Each table is keyed by a relabelling-invariant diagram key
+(``LinkDiagram.canonical_key``), extended by the truncation order or the
+derivative index where the value depends on it, so a hit returns exactly
+what a fresh computation would and every memoized function stays
+observably pure.  Only returned values are stored: a computation that
+raises leaves no entry behind.
+
+Tables: ``bracket`` (per split piece), ``jones``, ``X`` (normalized Jones
+series), ``a2``, ``phi`` (sublink weights) and ``lambda2``.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Hashable, TypeVar
+
+T = TypeVar("T")
+
+_TABLES: dict[str, dict] = {
+    name: {} for name in ("bracket", "jones", "X", "a2", "phi", "lambda2")
+}
+
+
+def lookup(table: str, key: Hashable, compute: Callable[..., T], *args: Any) -> T:
+    """The memoized value for ``key``; on a miss it is ``compute(*args)``,
+    stored before it is returned."""
+    values = _TABLES[table]
+    value = values.get(key)
+    if value is None:
+        value = compute(*args)
+        values[key] = value
+    return value
+
+
+def clear() -> None:
+    """Empty every table."""
+    for values in _TABLES.values():
+        values.clear()

@@ -161,10 +161,6 @@ class IntLaurent(_Laurent):
     """Laurent polynomial with integer exponents."""
 
 
-# Conway polynomials live in z with integer exponents; same representation.
-ZLaurent = IntLaurent
-
-
 class HalfLaurent(_Laurent):
     """Laurent polynomial whose exponents are half-integers, stored in halves.
 

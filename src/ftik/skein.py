@@ -12,14 +12,16 @@ i.e. the classical polynomial with t replaced by t^{-1} and an overall
 sign (-1)^(#components - 1).  The Conway polynomial is computed by a skein
 resolution tree that unknots diagrams towards descending form.
 
-Results are cached by a relabelling-invariant diagram key; the caches are
-content-addressed, so every function here remains observably pure.
+Bracket pieces and Jones values are memoized in ``ftik.memo`` by a
+relabelling-invariant diagram key, so every function here remains
+observably pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import memo
 from .diagram import LinkDiagram, smooth_crossing, switch_crossing
 from .errors import ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
@@ -30,43 +32,12 @@ _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.
 HALF_SUM = HalfLaurent.from_dict({1: 1, -1: 1})
 
-_PIECE_CACHE: dict[tuple, IntLaurent] = {}
-_JONES_CACHE: dict[tuple, HalfLaurent] = {}
-
-
-def clear_caches() -> None:
-    _PIECE_CACHE.clear()
-    _JONES_CACHE.clear()
+clear_caches = memo.clear
 
 
 # ---------------------------------------------------------------------------
 # Kauffman bracket
 # ---------------------------------------------------------------------------
-
-
-def _connected_pieces(d: LinkDiagram) -> list[list[int]]:
-    """Group crossing indices by connectivity of the link components they touch."""
-    comp_of = d.arc_to_component
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for a, b, _c, _e in d.crossings:
-        union(comp_of[a], comp_of[b])
-    groups: dict[int, list[int]] = {}
-    for i, (a, _b, _c, _e) in enumerate(d.crossings):
-        groups.setdefault(find(comp_of[a]), []).append(i)
-    return [groups[r] for r in sorted(groups)]
 
 
 def _apply_joins(pairing: dict[int, int], joins) -> tuple[dict[int, int], int]:
@@ -100,10 +71,10 @@ def _pairing_key(m: dict[int, int]) -> tuple:
     return tuple(sorted((x, y) for x, y in m.items() if x < y))
 
 
-def _contraction_order(crossings: tuple, indices: list[int]) -> list[int]:
+def _contraction_order(crossings: tuple) -> list[int]:
     """Greedy order: prefer crossings that close already-open arcs, so the
     active boundary stays small."""
-    remaining = set(indices)
+    remaining = set(range(len(crossings)))
     open_arcs: set[int] = set()
     order: list[int] = []
     while remaining:
@@ -122,12 +93,13 @@ def _contraction_order(crossings: tuple, indices: list[int]) -> list[int]:
     return order
 
 
-def _contract_piece(d: LinkDiagram, indices: list[int]) -> IntLaurent:
-    """Bracket of one connected piece, normalized so a single loop gives 1."""
+def _contract_piece(d: LinkDiagram) -> IntLaurent:
+    """Bracket of a diagram with one split piece, normalized so a single
+    loop gives 1."""
     a_pos = IntLaurent.monomial(1)
     a_neg = IntLaurent.monomial(-1)
     states: dict[tuple, IntLaurent] = {(): IntLaurent.one()}
-    for i in _contraction_order(d.crossings, indices):
+    for i in _contraction_order(d.crossings):
         a, b, c, e = d.crossings[i]
         new_states: dict[tuple, IntLaurent] = {}
         for key, weight in states.items():
@@ -159,21 +131,18 @@ def kauffman_bracket(d: LinkDiagram) -> IntLaurent:
     """
     if d.components == 0:
         raise ValueError("the bracket of the empty diagram is handled one level up")
-    pieces = _connected_pieces(d)
+    pieces = d.split_pieces()
     result = IntLaurent.one()
-    for indices in pieces:
-        piece_diagram = LinkDiagram.assemble(
-            tuple(d.crossings[i] for i in indices),
-            tuple(d.over_in[i] for i in indices),
-        )
-        key = piece_diagram.canonical_key()
-        value = _PIECE_CACHE.get(key)
-        if value is None:
-            value = _contract_piece(piece_diagram, list(range(len(indices))))
-            _PIECE_CACHE[key] = value
-        result = result * value
-    loops = len(pieces) + d.unknotted_components
-    return result * _DELTA ** (loops - 1)
+    for _comps, indices in pieces:
+        if indices:
+            piece = LinkDiagram.assemble(
+                tuple(d.crossings[i] for i in indices),
+                tuple(d.over_in[i] for i in indices),
+            )
+            result = result * memo.lookup(
+                "bracket", piece.canonical_key(), _contract_piece, piece
+            )
+    return result * _DELTA ** (len(pieces) - 1)
 
 
 def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
@@ -225,10 +194,10 @@ def jones(d: LinkDiagram) -> HalfLaurent:
     """
     if d.components == 0:
         raise ValueError("the empty link is handled by jones_series")
-    key = d.canonical_key()
-    cached = _JONES_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return memo.lookup("jones", d.canonical_key(), _jones, d)
+
+
+def _jones(d: LinkDiagram) -> HalfLaurent:
     w = d.writhe()
     br = kauffman_bracket(d)
     normalized = br.shift(-3 * w).scale((-1) ** (w % 2))
@@ -238,10 +207,7 @@ def jones(d: LinkDiagram) -> HalfLaurent:
             raise AssertionError("normalized bracket has odd A-exponent")
         halves[e // 2] = coeff
     value = HalfLaurent.from_dict(halves)
-    if (d.components - 1) % 2 == 1:
-        value = -value
-    _JONES_CACHE[key] = value
-    return value
+    return -value if (d.components - 1) % 2 == 1 else value
 
 
 def jones_series(d: LinkDiagram, order: int) -> TruncSeries:
@@ -304,8 +270,7 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
             )
         if d.components == 0:
             return IntLaurent.zero()
-        pieces = _connected_pieces(d)
-        if len(pieces) + d.unknotted_components > 1:
+        if len(d.split_pieces()) > 1:
             return IntLaurent.zero()
         if not d.crossings:
             return IntLaurent.one()

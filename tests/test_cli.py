@@ -6,13 +6,16 @@ import json
 import pytest
 
 from ftik import catalog
+import ftik.cli
 from ftik.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
+    EXIT_RESOURCE_LIMIT,
     EXIT_TRUNCATION,
     EXIT_VERIFY_FAILED,
     main,
 )
+from ftik.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -106,6 +109,43 @@ def test_truncation_exit_3_names_sufficient_order(capsys):
                        "--order", "2")
     assert code == EXIT_TRUNCATION
     assert "--order" in err
+
+
+def test_truncation_hint_names_an_order_that_suffices(capsys):
+    code, _, err = run(capsys, "compute", "--invariant", "lambda2",
+                       "--link", "catalog:borromean-plus1", "--order", "5")
+    assert code == EXIT_TRUNCATION
+    assert "--order 8 " in err
+    code, out, _ = run(capsys, "compute", "--invariant", "lambda2",
+                       "--link", "catalog:borromean-plus1", "--order", "8")
+    assert code == EXIT_OK
+    assert out.strip() == "39"
+
+
+def test_virtual_pd_file_exits_2(tmp_path, capsys):
+    doc = {"name": "virtual", "components": 1, "framings": [0],
+           "crossings": [[2, 3, 4, 1], [4, 1, 3, 2]],
+           "unknotted_components": 0}
+    path = tmp_path / "virtual.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compute", "--invariant", "jones",
+                         "--link", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert "planar" in err
+
+
+def test_resource_limit_exits_4(capsys, monkeypatch):
+    # A real node-budget overrun takes close to a minute; the exit-code
+    # mapping is the same for a budget that trips at once.
+    def over_budget(d):
+        raise ResourceLimitError("conway resolution exceeded 1 nodes")
+
+    monkeypatch.setattr(ftik.cli, "conway", over_budget)
+    code, _, err = run(capsys, "compute", "--invariant", "conway",
+                       "--link", "catalog:trefoil-right")
+    assert code == EXIT_RESOURCE_LIMIT == 4
+    assert "exceeded" in err
 
 
 def test_order_env_var(capsys, monkeypatch):

@@ -152,3 +152,38 @@ def test_surgery_presentation_constraints():
 def test_surgery_presentation_mirror_negates_framings():
     sp = catalog.presentation("trefoil-right-plus1")
     assert sp.mirror().diagram.framings == (-1,)
+
+
+def test_split_pieces():
+    def pieces(name):
+        return [(comps, len(crossings)) for comps, crossings
+                in catalog.get(name).diagram.split_pieces()]
+
+    assert pieces("trefoils-two-plus1") == [([0], 3), ([1], 3)]
+    assert pieces("borromean-unknot-plus1") == [([0, 1, 2], 6), ([3], 0)]
+    assert pieces("split-seven-plus1") == [([0], 3)] + [([c], 0) for c in range(1, 7)]
+    # The crossing indices of the pieces partition the diagram's crossings.
+    d = catalog.get("trefoils-two-plus1").diagram
+    found = sorted(i for _comps, crossings in d.split_pieces() for i in crossings)
+    assert found == list(range(len(d.crossings)))
+
+
+VIRTUAL_PD = [[2, 3, 4, 1], [4, 1, 3, 2]]
+
+
+def test_virtual_pd_code_is_rejected():
+    # Every arc appears twice and the orientations are consistent, but the
+    # two crossings bound 2 faces where a planar diagram bounds 4.
+    with pytest.raises(DiagramError) as exc:
+        LinkDiagram.from_pd(VIRTUAL_PD)
+    assert any("planar" in v for v in exc.value.violations)
+    crossings = tuple(tuple(c) for c in VIRTUAL_PD)
+    d = LinkDiagram.assemble(crossings, (1, 1))
+    assert any("planar" in v for v in d.validate())
+
+
+def test_catalog_diagrams_pass_the_face_count():
+    for entry in catalog.entries():
+        d = entry.diagram
+        for variant in (d, mirror(d), parallel(d, 2)):
+            assert variant.validate() == [], entry.name

@@ -12,15 +12,10 @@ from ftik.fintype import (
     CONSTANT_ONE,
     LAMBDA1,
     LAMBDA2,
-    REGISTRY,
     d_pm,
     difference_sum,
     order_check,
 )
-
-
-def test_registry_contents():
-    assert set(REGISTRY) >= {"casson", "lambda1", "lambda2", "one"}
 
 
 def test_d_pm_trefoil():
