@@ -12,7 +12,8 @@ Exit codes:
 * 1 -- a verification check (or ``--self-check``) failed.
 * 2 -- malformed input, with the validation violation list.
 * 3 -- insufficient truncation order, with an order that suffices.
-* 4 -- a resource limit was hit (the Conway resolution node budget).
+* 4 -- a resource limit was hit (the Conway resolution node budget or
+  the bracket contraction state budget).
 
 Truncation order precedence: ``--order`` flag, then the ``FTIK_ORDER``
 environment variable, then each operation's safe default.

@@ -293,10 +293,20 @@ class LinkDiagram:
         """A relabelling-invariant encoding used as a cache key.
 
         Arcs are renumbered by walking each component from its smallest
-        original arc id; the crossing list is then sorted.
+        original arc id; the crossing list is then sorted.  The framing-free
+        part is computed once per instance and kept on it, outside the
+        dataclass fields, so equality and hashing are unaffected.
         """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._framing_free_key()
+            object.__setattr__(self, "_key", key)
+        if include_framings:
+            key = key + (self.framings, tuple(sorted(self.marker_components)))
+        return key
+
+    def _framing_free_key(self) -> tuple:
         succ = self.successors()
-        comp_of = self.arc_to_component
         by_comp: dict[int, list[int]] = {}
         for a, c in self.arc_component:
             by_comp.setdefault(c, []).append(a)
@@ -317,10 +327,7 @@ class LinkDiagram:
                 for cr, oi in zip(self.crossings, self.over_in)
             )
         )
-        key = (body, self.components, len(self.marker_components))
-        if include_framings:
-            key = key + (self.framings, tuple(sorted(self.marker_components)))
-        return key
+        return (body, self.components, len(self.marker_components))
 
     # -- serialization ------------------------------------------------------
 

@@ -37,4 +37,5 @@ class DiagramError(FtikError):
 
 
 class ResourceLimitError(FtikError):
-    """A skein resolution exceeded its configured node budget."""
+    """An exponential stage exceeded its budget: the Conway resolution
+    node budget or the bracket contraction state budget."""

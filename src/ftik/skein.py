@@ -3,8 +3,12 @@
 The bracket is evaluated by contracting crossings one at a time while
 keeping a dictionary of boundary pairings with accumulated weights; states
 that reach the same pairing are merged, which is what makes cable diagrams
-tractable.  A naive 2^n state sum is kept alongside as an independent
-oracle.  The Jones polynomial follows the convention in which
+tractable.  The state model has integer coefficients, so each weight is a
+plain ``dict`` from A-exponent to ``int`` and becomes an ``IntLaurent``
+only once per piece.  A contraction step that leaves more than
+``_STATE_BUDGET`` pairings alive raises ``ResourceLimitError``.  A naive
+2^n state sum is kept alongside as an independent oracle.  The Jones
+polynomial follows the convention in which
 
     t V(L+) - t^{-1} V(L-) = (t^{1/2} - t^{-1/2}) V(L0),   V(unknot) = 1,
 
@@ -28,6 +32,13 @@ from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
 # Loop value -A^2 - A^(-2).
 _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
+
+# (-A^2 - A^(-2))^k as (exponent, coefficient) pairs, for the at most two
+# loops that one smoothing of a crossing can close.
+_LOOP_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
+
+# Most boundary pairings one contraction step may leave alive.
+_STATE_BUDGET = 10**6
 
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.
 HALF_SUM = HalfLaurent.from_dict({1: 1, -1: 1})
@@ -95,31 +106,39 @@ def _contraction_order(crossings: tuple) -> list[int]:
 
 def _contract_piece(d: LinkDiagram) -> IntLaurent:
     """Bracket of a diagram with one split piece, normalized so a single
-    loop gives 1."""
-    a_pos = IntLaurent.monomial(1)
-    a_neg = IntLaurent.monomial(-1)
-    states: dict[tuple, IntLaurent] = {(): IntLaurent.one()}
+    loop gives 1.
+
+    Each state weight is a ``dict`` from A-exponent to integer coefficient;
+    the two smoothings of a crossing multiply it by A^(+-1) times one
+    ``_LOOP_POWERS`` entry and add the product in place into the weight of
+    the resulting pairing.
+    """
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for i in _contraction_order(d.crossings):
         a, b, c, e = d.crossings[i]
-        new_states: dict[tuple, IntLaurent] = {}
+        branches = ((((a, b), (c, e)), 1), (((a, e), (b, c)), -1))
+        new_states: dict[tuple, dict[int, int]] = {}
         for key, weight in states.items():
             pairing = dict(key)
             for x, y in key:
                 pairing[y] = x
-            for joins, factor in (
-                (((a, b), (c, e)), a_pos),
-                (((a, e), (b, c)), a_neg),
-            ):
+            for joins, shift in branches:
                 m, loops = _apply_joins(pairing, joins)
-                w = weight * factor
-                for _ in range(loops):
-                    w = w * _DELTA
                 k = _pairing_key(m)
                 acc = new_states.get(k)
-                new_states[k] = w if acc is None else acc + w
+                if acc is None:
+                    acc = new_states[k] = {}
+                for fe, fc in _LOOP_POWERS[loops]:
+                    fe += shift
+                    for we, wc in weight.items():
+                        acc[we + fe] = acc.get(we + fe, 0) + fc * wc
+        if len(new_states) > _STATE_BUDGET:
+            raise ResourceLimitError(
+                f"bracket contraction exceeded {_STATE_BUDGET} states"
+            )
         states = new_states
     assert set(states) <= {()}
-    total = states.get((), IntLaurent.zero())
+    total = IntLaurent.from_dict(states.get((), {}))
     return total.divide_exact(_DELTA)
 
 
@@ -150,7 +169,8 @@ def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
     if d.components == 0:
         raise ValueError("empty diagram")
     n = len(d.crossings)
-    total = IntLaurent.zero()
+    # Number of states per (A-exponent, loop count), summed up at the end.
+    tally: dict[tuple[int, int], int] = {}
     for bits in range(1 << n):
         parent: dict[int, int] = {}
 
@@ -177,7 +197,10 @@ def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
                     parent[ry] = rx
         loops = len({find(x) for x in arcs}) if arcs else 0
         loops += d.unknotted_components
-        total = total + _DELTA ** (loops - 1) * IntLaurent.monomial(exponent)
+        tally[exponent, loops] = tally.get((exponent, loops), 0) + 1
+    total = IntLaurent.zero()
+    for (exponent, loops), count in tally.items():
+        total = total + _DELTA ** (loops - 1) * IntLaurent.monomial(exponent, count)
     return total
 
 
@@ -227,7 +250,6 @@ def _first_bad_crossing(d: LinkDiagram) -> tuple[int, int] | None:
     """Walk the components in index order from fixed base points; return the
     first crossing whose first visit is an under-passage, with its sign."""
     succ = d.successors()
-    comp_of = d.arc_to_component
     head: dict[int, tuple[int, str]] = {}
     for ci, (cr, oi) in enumerate(zip(d.crossings, d.over_in)):
         head[cr[0]] = (ci, "under")

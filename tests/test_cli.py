@@ -7,6 +7,7 @@ import pytest
 
 from ftik import catalog
 import ftik.cli
+import ftik.skein
 from ftik.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -146,6 +147,14 @@ def test_resource_limit_exits_4(capsys, monkeypatch):
                        "--link", "catalog:trefoil-right")
     assert code == EXIT_RESOURCE_LIMIT == 4
     assert "exceeded" in err
+
+
+def test_bracket_state_budget_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(ftik.skein, "_STATE_BUDGET", 1)
+    code, _, err = run(capsys, "compute", "--invariant", "jones",
+                       "--link", "catalog:whitehead")
+    assert code == EXIT_RESOURCE_LIMIT == 4
+    assert "bracket contraction exceeded 1 states" in err
 
 
 def test_order_env_var(capsys, monkeypatch):

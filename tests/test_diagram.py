@@ -1,5 +1,6 @@
 """Diagram construction, validation, serialization, and moves."""
 
+import dataclasses
 import json
 
 import pytest
@@ -84,6 +85,21 @@ def test_mirror_involution_and_sign_flip():
     m = mirror(d)
     assert m.writhe() == -d.writhe()
     assert mirror(m).canonical_key() == d.canonical_key()
+
+
+def test_canonical_key_kept_on_the_diagram():
+    d = catalog.get("borromean-plus1").diagram
+    key = d.canonical_key()
+    fresh = dataclasses.replace(d)
+    assert d.canonical_key() is key
+    # The stored key is no dataclass field: equality and hashing ignore it.
+    assert d == fresh and hash(d) == hash(fresh)
+    assert fresh.canonical_key() == key
+    flipped = with_framings(d, [-f for f in d.framings])
+    assert flipped.canonical_key() == key
+    assert flipped.canonical_key(include_framings=True) != d.canonical_key(
+        include_framings=True)
+    assert d.canonical_key(include_framings=True)[: len(key)] == key
 
 
 def test_switch_crossing_changes_sign():

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from ftik import catalog
-from ftik.diagram import disjoint_union, mirror, smooth_crossing, switch_crossing
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftik import catalog, memo, skein
+from ftik.diagram import (
+    closed_braid,
+    disjoint_union,
+    mirror,
+    smooth_crossing,
+    switch_crossing,
+)
 from ftik.errors import ResourceLimitError
 from ftik.series import HalfLaurent, IntLaurent, laurent_to_series
 from ftik.skein import (
@@ -60,6 +69,37 @@ def test_bracket_oracle_equivalence():
             assert kauffman_bracket(entry.diagram) == kauffman_bracket_naive(
                 entry.diagram
             ), entry.name
+
+
+braid_closures = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=12,
+    ).map(lambda word: closed_braid(n, word))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_closures)
+def test_bracket_oracle_equivalence_on_braid_closures(d):
+    # A cold memo per example, so every example runs the contraction.
+    memo.clear()
+    assert kauffman_bracket(d) == kauffman_bracket_naive(d)
+
+
+def test_bracket_state_budget(monkeypatch):
+    d = catalog.get("whitehead").diagram
+    want = kauffman_bracket_naive(d)
+    monkeypatch.setattr(skein, "_STATE_BUDGET", 1)
+    with pytest.raises(ResourceLimitError, match="states"):
+        kauffman_bracket(d)
+    with pytest.raises(ResourceLimitError):
+        jones(d)
+    # A computation that raised leaves no memo entry behind.
+    assert not any(memo._TABLES.values())
+    monkeypatch.undo()
+    assert kauffman_bracket(d) == want
 
 
 def test_bracket_hopf_value():
