@@ -33,7 +33,6 @@ from .fintype import (
     order_check,
 )
 from .invariants import (
-    DEFAULT_TRUNCATION,
     casson_invariant,
     jones_exp_derivative,
     jones_sublink_weight,
@@ -54,7 +53,7 @@ __all__ = [
     "with_framings", "DiagramError", "FtikError", "ResourceLimitError",
     "SingularSeriesError", "TruncationError", "CASSON", "LAMBDA1", "LAMBDA2",
     "InvariantFunction", "d_pm", "difference_sum", "order_check",
-    "DEFAULT_TRUNCATION", "casson_invariant",
+    "casson_invariant",
     "jones_exp_derivative", "jones_sublink_weight", "normalized_jones_series",
     "ohtsuki_lambda1", "ohtsuki_lambda2", "psi2_knot_invariant",
     "sublink_alternating_series", "HalfLaurent", "IntLaurent", "TruncSeries",

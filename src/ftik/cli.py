@@ -11,19 +11,17 @@ Exit codes:
 * 0 -- success.
 * 1 -- a verification check (or ``--self-check``) failed.
 * 2 -- malformed input, with the validation violation list.
-* 3 -- insufficient truncation order, with an order that suffices.
+* 3 -- internal truncation error: a series was read past the order it
+  was expanded to.  Every computation works out its own order from its
+  input, so this is a bug, not malformed input.
 * 4 -- a resource limit was hit (the Conway resolution node budget or
   the bracket contraction state budget).
-
-Truncation order precedence: ``--order`` flag, then the ``FTIK_ORDER``
-environment variable, then each operation's safe default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -56,22 +54,22 @@ EXIT_TRUNCATION = 3
 EXIT_RESOURCE_LIMIT = 4
 
 #: The invariant table behind ``compute`` and the ``paper-values`` suite:
-#: name -> (evaluate(diagram, order), polynomial variable or None for a
+#: name -> (evaluate(diagram), polynomial variable or None for a
 #: rational).  Entries look their function up at call time, so a function
 #: rebound on this module (e.g. by a tracer) sees every call.
 INVARIANTS = {
-    "casson": (lambda d, order: casson_invariant(SurgeryPresentation(d)), None),
-    "lambda1": (lambda d, order: ohtsuki_lambda1(SurgeryPresentation(d)), None),
-    "lambda2": (lambda d, order: ohtsuki_lambda2(SurgeryPresentation(d), order), None),
-    "psi2": (lambda d, order: psi2_knot_invariant(d, order), None),
-    "a2": (lambda d, order: conway_a2(d), None),
-    "jones": (lambda d, order: jones(d), "t"),
-    "conway": (lambda d, order: conway(d), "z"),
-    "phi1": (lambda d, order: jones_sublink_weight(d, 1, order), None),
-    "phi2": (lambda d, order: jones_sublink_weight(d, 2, order), None),
-    "v2": (lambda d, order: jones_exp_derivative(d, 2, order), None),
-    "v3": (lambda d, order: jones_exp_derivative(d, 3, order), None),
-    "v4": (lambda d, order: jones_exp_derivative(d, 4, order), None),
+    "casson": (lambda d: casson_invariant(SurgeryPresentation(d)), None),
+    "lambda1": (lambda d: ohtsuki_lambda1(SurgeryPresentation(d)), None),
+    "lambda2": (lambda d: ohtsuki_lambda2(SurgeryPresentation(d)), None),
+    "psi2": (lambda d: psi2_knot_invariant(d), None),
+    "a2": (lambda d: conway_a2(d), None),
+    "jones": (lambda d: jones(d), "t"),
+    "conway": (lambda d: conway(d), "z"),
+    "phi1": (lambda d: jones_sublink_weight(d, 1), None),
+    "phi2": (lambda d: jones_sublink_weight(d, 2), None),
+    "v2": (lambda d: jones_exp_derivative(d, 2), None),
+    "v3": (lambda d: jones_exp_derivative(d, 3), None),
+    "v4": (lambda d: jones_exp_derivative(d, 4), None),
 }
 
 
@@ -93,18 +91,6 @@ def load_link(spec: str) -> tuple[str, LinkDiagram]:
     return name, d
 
 
-def resolve_order(args: argparse.Namespace) -> int | None:
-    if getattr(args, "order", None) is not None:
-        return args.order
-    env = os.environ.get("FTIK_ORDER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DiagramError([f"FTIK_ORDER must be an integer, got {env!r}"])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
@@ -112,13 +98,12 @@ def resolve_order(args: argparse.Namespace) -> int | None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     name, d = load_link(args.link)
-    order = resolve_order(args)
     evaluate, variable = INVARIANTS[args.invariant]
-    raw = evaluate(d, order)
+    raw = evaluate(d)
     value = format_rational(raw) if variable is None else format_laurent(raw, variable)
     payload = {"invariant": args.invariant, "link": name, "value": value}
     if args.self_check:
-        phi1 = jones_sublink_weight(d, 1, order)
+        phi1 = jones_sublink_weight(d, 1)
         six_a2 = 6 * conway_a2(d)
         payload["self_check"] = {
             "phi1": format_rational(phi1),
@@ -149,17 +134,17 @@ def _check(entries: list[dict], name: str, value, ok: bool) -> None:
     entries.append({"presentation": name, "value": str(value), "pass": bool(ok)})
 
 
-def _suite_paper_values(order: int | None) -> list[dict]:
+def _suite_paper_values() -> list[dict]:
     out: list[dict] = []
     for entry in _catalog.entries():
         for inv, expected in sorted(entry.expected.items()):
-            value = INVARIANTS[inv][0](entry.diagram, order)
+            value = INVARIANTS[inv][0](entry.diagram)
             _check(out, f"{entry.name}:{inv}", value, value == expected)
     unknot = _catalog.get("unknot").diagram
     _check(out, "unknot:jones", format_laurent(jones(unknot), "t"),
            jones(unknot) == HalfLaurent.one())
     for i in (1, 2, 3, 4):
-        v = jones_exp_derivative(unknot, i, order)
+        v = jones_exp_derivative(unknot, i)
         _check(out, f"unknot:v{i}", v, v == 0)
     empty = _catalog.get("empty").diagram
     x_empty = normalized_jones_series(empty, 4)
@@ -210,12 +195,12 @@ def _suite_order() -> list[dict]:
     return out
 
 
-def _suite_integrality(order: int | None) -> list[dict]:
+def _suite_integrality() -> list[dict]:
     out: list[dict] = []
     for entry in _catalog.asl_entries():
         sp = SurgeryPresentation(entry.diagram)
         l1 = ohtsuki_lambda1(sp)
-        l2 = ohtsuki_lambda2(sp, order)
+        l2 = ohtsuki_lambda2(sp)
         _check(out, f"{entry.name}:lambda1-mod-6", l1,
                l1.denominator == 1 and l1 % 6 == 0)
         _check(out, f"{entry.name}:lambda2-mod-3", l2,
@@ -223,39 +208,38 @@ def _suite_integrality(order: int | None) -> list[dict]:
     return out
 
 
-def _suite_cross_formula(order: int | None) -> list[dict]:
+def _suite_cross_formula() -> list[dict]:
     out: list[dict] = []
     for entry in _catalog.entries():
         d = entry.diagram
         if d.components == 1 and all(f == 0 for f in d.framings):
             framed = SurgeryPresentation(with_framings(d, (1,)))
-            l2 = ohtsuki_lambda2(framed, order)
-            p2 = psi2_knot_invariant(d, order)
+            l2 = ohtsuki_lambda2(framed)
+            p2 = psi2_knot_invariant(d)
             _check(out, f"{entry.name}:psi2-vs-lambda2", p2, p2 == l2)
     for entry in _catalog.asl_entries():
         d = entry.diagram
-        phi1 = jones_sublink_weight(d, 1, order)
+        phi1 = jones_sublink_weight(d, 1)
         six_a2 = 6 * conway_a2(d)
         _check(out, f"{entry.name}:phi1-vs-6a2", phi1, phi1 == six_a2)
     return out
 
 
 SUITES = {
-    "paper-values": lambda order: _suite_paper_values(order),
-    "skein": lambda order: _suite_skein(),
-    "order": lambda order: _suite_order(),
-    "integrality": lambda order: _suite_integrality(order),
-    "cross-formula": lambda order: _suite_cross_formula(order),
+    "paper-values": _suite_paper_values,
+    "skein": _suite_skein,
+    "order": _suite_order,
+    "integrality": _suite_integrality,
+    "cross-formula": _suite_cross_formula,
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    order = resolve_order(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = []
     failed = []
     for suite_name in names:
-        entries = SUITES[suite_name](order)
+        entries = SUITES[suite_name]()
         report.append({"suite": suite_name, "entries": entries})
         failed.extend(
             f"{suite_name}/{e['presentation']}" for e in entries if not e["pass"]
@@ -309,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--link", required=True,
                            help="link-file path or catalog:NAME")
     p_compute.add_argument("--format", choices=("table", "json"), default="table")
-    p_compute.add_argument("--order", type=int, default=None,
-                           help="series truncation order")
     p_compute.add_argument("--self-check", action="store_true",
                            help="also report the phi1 = 6*a2 cross-check")
     p_compute.set_defaults(func=cmd_compute)
@@ -318,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
                           choices=tuple(SUITES) + ("all",))
-    p_verify.add_argument("--order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list built-in links")
@@ -333,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TruncationError as exc:
-        print(f"error: {exc} (rerun with --order {exc.required_order} or higher)",
-              file=sys.stderr)
+        print(f"error: internal truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     except DiagramError as exc:
         print("error: malformed input:", file=sys.stderr)

@@ -351,9 +351,21 @@ class LinkDiagram:
         missing = required - set(data)
         if missing:
             raise DiagramError(f"link file missing keys: {sorted(missing)}")
+        violations = []
+        crossings = data["crossings"]
+        if not isinstance(crossings, list) or not all(isinstance(c, list) for c in crossings):
+            violations.append("link file: crossings must be a list of 4-arc lists")
+        framings = data["framings"]
+        if not isinstance(framings, list) or not all(_is_int(f) for f in framings):
+            violations.append("link file: framings must be a list of integers")
+        for key in ("components", "unknotted_components"):
+            if not _is_int(data[key]) or data[key] < 0:
+                violations.append(f"link file: {key} must be an integer >= 0")
+        if violations:
+            raise DiagramError(violations)
         d = cls.from_pd(
-            data["crossings"],
-            framings=data["framings"],
+            crossings,
+            framings=framings,
             unknotted_components=data["unknotted_components"],
         )
         if d.components != data["components"]:
@@ -372,6 +384,12 @@ class LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An int from a JSON document; ``true``/``false`` load as bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
     """Structural checks on raw PD tuples; returns human-readable violations."""
     out: list[str] = []
@@ -381,7 +399,7 @@ def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
             out.append(f"crossing {i}: expected 4 arcs, got {len(c)}")
             continue
         for arc in c:
-            if not isinstance(arc, int) or arc < 1:
+            if not _is_int(arc) or arc < 1:
                 out.append(f"crossing {i}: arc identifiers must be positive integers")
                 break
         for arc in c:

@@ -8,14 +8,14 @@ class FtikError(Exception):
 class TruncationError(FtikError):
     """A derivative of higher order than the series truncation was requested.
 
-    Extraction fails loudly instead of extrapolating; the ``required_order``
-    attribute tells the caller what truncation would have sufficed.
+    Extraction fails loudly instead of extrapolating.  Every computation
+    expands its series as far as its formula reads them, so this signals a
+    bug, not a user setting.
     """
 
     def __init__(self, requested: int, available: int):
         self.requested = requested
         self.available = available
-        self.required_order = requested
         super().__init__(
             f"derivative of order {requested} needs truncation order >= {requested}, "
             f"series has order {available}"

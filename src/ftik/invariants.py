@@ -18,8 +18,9 @@ taken with both copies.  The induced knot invariant psi2 evaluates lambda2
 on +1-surgery and has a closed form in derivatives of V(e^h) at h = 0
 together with the z^4 Conway coefficient.
 
-Everything is exact rational arithmetic; truncation shortfalls raise
-``TruncationError`` with the order that would have sufficed.
+Everything is exact rational arithmetic.  Each series is expanded exactly
+as far as its formula reads it: order #L + i for phi_i, i for v_i, and
+2n + 2 for lambda2 on n components.
 """
 
 from __future__ import annotations
@@ -34,17 +35,7 @@ from .errors import TruncationError
 from .series import TruncSeries, compose_exp_minus_one, laurent_to_series
 from .skein import HALF_SUM, conway, conway_a2, jones_series
 
-#: Default truncation order for series work; enough for phi_2 on sublinks of
-#: the 2-parallel of any link with up to 5 components.
-DEFAULT_TRUNCATION = 12
-
 clear_caches = memo.clear
-
-
-def required_order(components: int) -> int:
-    """Truncation order needed to evaluate lambda2 on a presentation with
-    the given component count, clamped to the default for safety margin."""
-    return max(DEFAULT_TRUNCATION, 2 * components + 2)
 
 
 def normalized_jones_series(d: LinkDiagram, order: int) -> TruncSeries:
@@ -101,11 +92,17 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
 
 def jones_sublink_weight(d: LinkDiagram, i: int, order: int | None = None) -> Fraction:
     """The scaled derivative phi_i = (-2)^#L / (#L + i)! * Phi_(#L + i),
-    where Phi_k is the k-th t-derivative of the alternating sum at t = 1."""
+    where Phi_k is the k-th t-derivative of the alternating sum at t = 1.
+
+    The sum is expanded to ``order``, by default exactly #L + i.  lambda2
+    passes one order for every sublink it weighs, so those sublinks share
+    their memoized X series.
+    """
     needed = d.components + i
     if order is None:
-        order = max(DEFAULT_TRUNCATION, needed)
+        order = needed
     if needed > order:
+        # Checked before the memo, whose key does not hold the order.
         raise TruncationError(needed, order)
     return memo.lookup("phi", (d.canonical_key(), i), _sublink_weight, d, needed, order)
 
@@ -137,7 +134,7 @@ def ohtsuki_lambda1(sp: SurgeryPresentation) -> Fraction:
     return 6 * casson_invariant(sp)
 
 
-def ohtsuki_lambda2(sp: SurgeryPresentation, order: int | None = None) -> Fraction:
+def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
     """The order-6 invariant via the two-part surgery formula.
 
     The first sum runs over nonempty sublinks of L (the empty term carries
@@ -146,17 +143,13 @@ def ohtsuki_lambda2(sp: SurgeryPresentation, order: int | None = None) -> Fracti
     of each component are taken.  Framings of copies are inherited, so a
     doubled component contributes its framing squared.
     """
-    n = sp.diagram.components
-    if order is None:
-        order = required_order(n)
-    if n > 0 and order < 2 * n + 2:
-        # phi2 of the fully doubled cable (2n circles) needs order 2n + 2.
-        raise TruncationError(2 * n + 2, order)
-    return memo.lookup("lambda2", (sp.canonical_key(), order), _lambda2_sum, sp.diagram, order)
+    return memo.lookup("lambda2", sp.canonical_key(), _lambda2_sum, sp.diagram)
 
 
-def _lambda2_sum(d: LinkDiagram, order: int) -> Fraction:
+def _lambda2_sum(d: LinkDiagram) -> Fraction:
     n = d.components
+    # phi2 of the fully doubled cable (2n circles) reads order 2n + 2.
+    order = 2 * n + 2
     total = Fraction(0)
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
@@ -188,19 +181,15 @@ def _lambda2_sum(d: LinkDiagram, order: int) -> Fraction:
     return total
 
 
-def jones_exp_derivative(d: LinkDiagram, i: int, order: int | None = None) -> Fraction:
+def jones_exp_derivative(d: LinkDiagram, i: int) -> Fraction:
     """i-th derivative of V(L; e^h) at h = 0."""
     if i < 0:
         raise ValueError("derivative order must be non-negative")
-    if order is None:
-        order = max(DEFAULT_TRUNCATION, i)
-    if i > order:
-        raise TruncationError(i, order)
-    in_h = compose_exp_minus_one(jones_series(d, order))
+    in_h = compose_exp_minus_one(jones_series(d, i))
     return math.factorial(i) * in_h.coeff(i)
 
 
-def psi2_knot_invariant(d: LinkDiagram, order: int | None = None) -> Fraction:
+def psi2_knot_invariant(d: LinkDiagram) -> Fraction:
     """The knot invariant induced by lambda2 through +1-framed surgery,
     in closed form:
 
@@ -223,8 +212,8 @@ def psi2_knot_invariant(d: LinkDiagram, order: int | None = None) -> Fraction:
     """
     if d.components != 1:
         raise ValueError("psi2 is a knot invariant; diagram must have one component")
-    v2 = jones_exp_derivative(d, 2, order)
-    v3 = jones_exp_derivative(d, 3, order)
+    v2 = jones_exp_derivative(d, 2)
+    v3 = jones_exp_derivative(d, 3)
     a4 = conway(d).coeff(4)
     return (
         Fraction(3, 2) * v2

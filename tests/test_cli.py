@@ -1,5 +1,5 @@
-"""Command-line interface: subcommands, formats, exit codes, and order
-precedence."""
+"""Command-line interface: subcommands, formats, exit codes, and link-file
+validation."""
 
 import json
 
@@ -16,7 +16,7 @@ from ftik.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from ftik.errors import ResourceLimitError
+from ftik.errors import ResourceLimitError, TruncationError
 
 
 def run(capsys, *argv):
@@ -28,6 +28,14 @@ def run(capsys, *argv):
 def test_compute_table(capsys):
     code, out, _ = run(capsys, "compute", "--invariant", "lambda2",
                        "--link", "catalog:trefoil-right-plus1")
+    assert code == EXIT_OK
+    assert out.strip() == "39"
+
+
+def test_compute_lambda2_three_components(capsys):
+    # Three components: the series run at exactly the order lambda2 reads, 8.
+    code, out, _ = run(capsys, "compute", "--invariant", "lambda2",
+                       "--link", "catalog:borromean-plus1")
     assert code == EXIT_OK
     assert out.strip() == "39"
 
@@ -79,15 +87,24 @@ def test_compute_file_input_roundtrip(tmp_path, capsys):
 
 
 def test_malformed_file_exits_2_with_violations(tmp_path, capsys):
-    doc = {"name": "bad", "components": 1, "framings": [0],
-           "crossings": [[1, 2, 3, 4], [1, 2, 3, 5]],
-           "unknotted_components": 0}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "compute", "--invariant", "a2",
-                       "--link", str(path))
-    assert code == EXIT_BAD_INPUT
-    assert "malformed input" in err
+    for fields in (
+        {"crossings": [[1, 2, 3, 4], [1, 2, 3, 5]]},
+        {"crossings": [5]},
+        {"crossings": [[True, 4, 2, 5], [3, 6, 4, True], [5, 2, 6, 3]]},
+        {"unknotted_components": "1"},
+        {"framings": 0},
+        # int() would cut 1.5 to 1 and compute on.
+        {"framings": [1.5]},
+        {"framings": [True]},
+    ):
+        doc = catalog.get("trefoil-right").diagram.to_json_dict("bad")
+        doc.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--invariant", "a2",
+                             "--link", str(path))
+        assert (code, out) == (EXIT_BAD_INPUT, ""), fields
+        assert "malformed input" in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -102,25 +119,6 @@ def test_unknown_catalog_name_exits_2(capsys):
                        "--link", "catalog:no-such-link")
     assert code == EXIT_BAD_INPUT
     assert "no-such-link" in err
-
-
-def test_truncation_exit_3_names_sufficient_order(capsys):
-    code, _, err = run(capsys, "compute", "--invariant", "lambda2",
-                       "--link", "catalog:trefoil-right-plus1",
-                       "--order", "2")
-    assert code == EXIT_TRUNCATION
-    assert "--order" in err
-
-
-def test_truncation_hint_names_an_order_that_suffices(capsys):
-    code, _, err = run(capsys, "compute", "--invariant", "lambda2",
-                       "--link", "catalog:borromean-plus1", "--order", "5")
-    assert code == EXIT_TRUNCATION
-    assert "--order 8 " in err
-    code, out, _ = run(capsys, "compute", "--invariant", "lambda2",
-                       "--link", "catalog:borromean-plus1", "--order", "8")
-    assert code == EXIT_OK
-    assert out.strip() == "39"
 
 
 def test_virtual_pd_file_exits_2(tmp_path, capsys):
@@ -157,25 +155,17 @@ def test_bracket_state_budget_exits_4(capsys, monkeypatch):
     assert "bracket contraction exceeded 1 states" in err
 
 
-def test_order_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FTIK_ORDER", "2")
-    code, _, _ = run(capsys, "compute", "--invariant", "lambda2",
-                     "--link", "catalog:trefoil-right-plus1")
-    assert code == EXIT_TRUNCATION
-    # The flag outranks the environment variable.
-    code, out, _ = run(capsys, "compute", "--invariant", "lambda2",
-                       "--link", "catalog:trefoil-right-plus1",
-                       "--order", "12")
-    assert code == EXIT_OK
-    assert out.strip() == "39"
+def test_internal_truncation_error_exits_3(capsys, monkeypatch):
+    # Every computation sets its own order, so only a bug can read a series
+    # past it; that is reported apart from malformed input (exit 2).
+    def short_series(d):
+        raise TruncationError(4, 3)
 
-
-def test_bad_order_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FTIK_ORDER", "soon")
-    code, _, err = run(capsys, "compute", "--invariant", "v2",
+    monkeypatch.setattr(ftik.cli, "conway", short_series)
+    code, _, err = run(capsys, "compute", "--invariant", "conway",
                        "--link", "catalog:trefoil-right")
-    assert code == EXIT_BAD_INPUT
-    assert "FTIK_ORDER" in err
+    assert code == EXIT_TRUNCATION == 3
+    assert "internal truncation error" in err
 
 
 def test_verify_suite_ok(capsys):

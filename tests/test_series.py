@@ -83,7 +83,7 @@ def test_trunc_series_coeff_out_of_range():
     s = TruncSeries.one(3)
     with pytest.raises(TruncationError) as exc:
         s.coeff(4)
-    assert exc.value.required_order == 4
+    assert exc.value.requested == 4
 
 
 def test_half_power_binomial():

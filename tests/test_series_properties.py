@@ -5,7 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftik.series import IntLaurent, TruncSeries
+from ftik.series import (
+    HalfLaurent,
+    IntLaurent,
+    TruncSeries,
+    compose_exp_minus_one,
+    laurent_to_series,
+)
 
 coeffs = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -13,9 +19,16 @@ coeffs = st.fractions(
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6), coeffs, max_size=5
 ).map(IntLaurent.from_dict)
+half_laurents = st.dictionaries(
+    st.integers(min_value=-9, max_value=9), coeffs, max_size=5
+).map(HalfLaurent.from_dict)
 series = st.lists(coeffs, min_size=7, max_size=7).map(
     lambda cs: TruncSeries.from_coeffs(cs, 6)
 )
+
+
+def truncated(s, k):
+    return TruncSeries.from_coeffs(s.coeffs, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,3 +64,17 @@ def test_trunc_series_invert_roundtrip(a):
     prod = a * a.invert()
     assert prod.coeff(0) == 1
     assert all(prod.coeff(k) == 0 for k in range(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series, series, half_laurents)
+def test_truncation_commutes_with_series_operations(a, b, p):
+    # Coefficient k of each result reads only coefficients <= k of its
+    # inputs, so expanding to exactly the order a formula reads is enough.
+    for k in range(7):
+        a_k, b_k = truncated(a, k), truncated(b, k)
+        assert truncated(a * b, k) == a_k * b_k
+        if a.coeff(0) != 0:
+            assert truncated(a.invert(), k) == a_k.invert()
+        assert truncated(compose_exp_minus_one(a), k) == compose_exp_minus_one(a_k)
+        assert truncated(laurent_to_series(p, 6), k) == laurent_to_series(p, k)
