@@ -38,11 +38,11 @@ class CatalogEntry:
 
 
 def _empty() -> LinkDiagram:
-    return LinkDiagram((), (), (), 0, (), frozenset())
+    return LinkDiagram((), (), (), ())
 
 
 def _unknot() -> LinkDiagram:
-    return LinkDiagram((), (), (), 1, (0,), frozenset({0}))
+    return LinkDiagram((), (), ((),), (0,))
 
 
 def _trefoil_right() -> LinkDiagram:

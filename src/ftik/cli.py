@@ -15,7 +15,7 @@ Exit codes:
   was expanded to.  Every computation works out its own order from its
   input, so this is a bug, not malformed input.
 * 4 -- a resource limit was hit (the Conway resolution node budget or
-  the bracket contraction state budget).
+  recursion depth, or the bracket contraction state budget).
 """
 
 from __future__ import annotations

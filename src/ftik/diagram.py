@@ -12,17 +12,13 @@ Diagrams are immutable values and every operation here is a pure function.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DiagramError
 
 Crossing = tuple[int, int, int, int]
-
-
-def _pairs(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(d.items()))
 
 
 class _UnionFind:
@@ -70,17 +66,17 @@ class LinkDiagram:
     """An oriented link diagram with per-component integer framings.
 
     ``over_in`` holds, per crossing, the slot (1 or 3) at which the
-    over-strand enters.  ``arc_component`` maps every arc to its component
-    index; ``marker_components`` lists the indices of zero-crossing unknot
-    components, which own no arcs.
+    over-strand enters.  ``component_arcs`` holds, per component, its arcs
+    in orientation order starting from its smallest arc; a zero-crossing
+    unknot component (a marker) owns no arcs and gets ``()``.  Every
+    constructor keeps these tuples equal to the cycles of the arc successor
+    relation, which ``validate`` checks.
     """
 
     crossings: tuple[Crossing, ...]
     over_in: tuple[int, ...]
-    arc_component: tuple[tuple[int, int], ...]
-    components: int
+    component_arcs: tuple[tuple[int, ...], ...]
     framings: tuple[int, ...]
-    marker_components: frozenset[int] = field(default_factory=frozenset)
 
     # -- construction -------------------------------------------------------
 
@@ -116,15 +112,8 @@ class LinkDiagram:
         unknotted_components: int = 0,
     ) -> "LinkDiagram":
         """Build a diagram from crossings with known over-strand directions."""
-        succ = _successors(crossings, over_in)
-        cycles = _cycles(succ)
-        arc_comp: dict[int, int] = {}
-        for idx, cycle in enumerate(cycles):
-            for arc in cycle:
-                arc_comp[arc] = idx
-        n_pd = len(cycles)
-        total = n_pd + unknotted_components
-        markers = frozenset(range(n_pd, total))
+        cycles = _cycles(crossings, over_in)
+        total = len(cycles) + unknotted_components
         if framings is None:
             framings = (0,) * total
         framings = tuple(int(f) for f in framings)
@@ -132,26 +121,29 @@ class LinkDiagram:
             raise DiagramError(
                 f"expected {total} framings, got {len(framings)}"
             )
-        return cls(crossings, tuple(over_in), _pairs(arc_comp), total, framings, markers)
+        component_arcs = tuple(cycles) + ((),) * unknotted_components
+        return cls(crossings, tuple(over_in), component_arcs, framings)
 
     # -- basic accessors ----------------------------------------------------
 
     @property
-    def arc_to_component(self) -> dict[int, int]:
-        return dict(self.arc_component)
+    def components(self) -> int:
+        return len(self.component_arcs)
+
+    @property
+    def marker_components(self) -> frozenset[int]:
+        return frozenset(c for c, arcs in enumerate(self.component_arcs) if not arcs)
 
     @property
     def unknotted_components(self) -> int:
-        return len(self.marker_components)
+        return self.component_arcs.count(())
+
+    @property
+    def arc_to_component(self) -> dict[int, int]:
+        return {a: c for c, arcs in enumerate(self.component_arcs) for a in arcs}
 
     def is_empty(self) -> bool:
         return self.components == 0
-
-    def component_arcs(self, comp: int) -> list[int]:
-        return [a for a, c in self.arc_component if c == comp]
-
-    def successors(self) -> dict[int, int]:
-        return _successors(self.crossings, self.over_in)
 
     def crossing_sign(self, i: int) -> int:
         """+1 for a right-handed crossing, -1 for a left-handed one.
@@ -178,28 +170,15 @@ class LinkDiagram:
         """Check all structural invariants, planarity included; returns
         violations, never raises."""
         out = pd_violations(self.crossings)
-        comp_of = self.arc_to_component
-        succ = _successors(self.crossings, self.over_in)
         try:
-            cycles = _cycles(succ)
+            cycles = _cycles(self.crossings, self.over_in)
         except DiagramError as exc:
             return out + exc.violations
-        pd_comps = {c for c in range(self.components) if c not in self.marker_components}
-        if len(cycles) != len(pd_comps):
+        if sorted(arcs for arcs in self.component_arcs if arcs) != cycles:
             out.append(
-                f"arc successor relation has {len(cycles)} cycles but diagram "
-                f"declares {len(pd_comps)} crossing-bearing components"
+                "component arcs are not the arc successor cycles, "
+                "each starting at its smallest arc"
             )
-        seen = sorted({c for _a, c in self.arc_component} | set(self.marker_components))
-        if seen != list(range(self.components)):
-            out.append("component indices are not contiguous from 0")
-        for arc in succ:
-            if arc not in comp_of:
-                out.append(f"arc {arc} has no component assignment")
-        for cycle in cycles:
-            comps = {comp_of.get(a) for a in cycle}
-            if len(comps) != 1:
-                out.append(f"arcs {sorted(cycle)} mix component indices {comps}")
         if len(self.framings) != self.components:
             out.append(
                 f"{len(self.framings)} framings for {self.components} components"
@@ -292,57 +271,43 @@ class LinkDiagram:
     def canonical_key(self, include_framings: bool = False) -> tuple:
         """A relabelling-invariant encoding used as a cache key.
 
-        Arcs are renumbered by walking each component from its smallest
-        original arc id; the crossing list is then sorted.  The framing-free
-        part is computed once per instance and kept on it, outside the
-        dataclass fields, so equality and hashing are unaffected.
+        Each arc is renumbered by its position in ``component_arcs`` read in
+        order, from 1; the crossing list is then sorted.  Both keys are
+        computed once per instance and kept on it, outside the dataclass
+        fields, so equality and hashing are unaffected.
         """
-        key = self.__dict__.get("_key")
-        if key is None:
+        keys = self.__dict__.get("_keys")
+        if keys is None:
             key = self._framing_free_key()
-            object.__setattr__(self, "_key", key)
-        if include_framings:
-            key = key + (self.framings, tuple(sorted(self.marker_components)))
-        return key
+            markers = tuple(c for c, arcs in enumerate(self.component_arcs) if not arcs)
+            keys = (key, key + (self.framings, markers))
+            object.__setattr__(self, "_keys", keys)
+        return keys[include_framings]
 
     def _framing_free_key(self) -> tuple:
-        succ = self.successors()
-        by_comp: dict[int, list[int]] = {}
-        for a, c in self.arc_component:
-            by_comp.setdefault(c, []).append(a)
-        relabel: dict[int, int] = {}
-        nxt = 1
-        for comp in sorted(by_comp):
-            start = min(by_comp[comp])
-            arc = start
-            while True:
-                relabel[arc] = nxt
-                nxt += 1
-                arc = succ[arc]
-                if arc == start:
-                    break
+        relabel = {a: i for i, a in enumerate(chain.from_iterable(self.component_arcs), 1)}
         body = tuple(
             sorted(
                 (tuple(relabel[x] for x in cr), oi)
                 for cr, oi in zip(self.crossings, self.over_in)
             )
         )
-        return (body, self.components, len(self.marker_components))
+        return (body, self.components, self.unknotted_components)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self, name: str) -> dict:
         """Emit the link-file schema.  Marker components must occupy the
         trailing component indices, as the schema only stores their count."""
-        pd_comps = self.components - len(self.marker_components)
-        if self.marker_components != frozenset(range(pd_comps, self.components)):
+        markers = self.unknotted_components
+        if () in self.component_arcs[: self.components - markers]:
             raise DiagramError("cannot serialize: unknotted components are not trailing")
         return {
             "name": name,
             "components": self.components,
             "framings": list(self.framings),
             "crossings": [list(c) for c in self.crossings],
-            "unknotted_components": len(self.marker_components),
+            "unknotted_components": markers,
         }
 
     @classmethod
@@ -374,9 +339,6 @@ class LinkDiagram:
                 f"diagram has {d.components}"
             )
         return data["name"], d
-
-    def to_json(self, name: str) -> str:
-        return json.dumps(self.to_json_dict(name), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +440,12 @@ def _successors(crossings: tuple[Crossing, ...], over_in: tuple[int, ...]) -> di
     return succ
 
 
-def _cycles(succ: dict[int, int]) -> list[list[int]]:
-    """Decompose the successor relation into cycles, ordered by smallest arc."""
+def _cycles(crossings: tuple[Crossing, ...], over_in: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Decompose the arc successor relation into cycles, each starting at
+    its smallest arc and ordered by it."""
+    succ = _successors(crossings, over_in)
     seen: set[int] = set()
-    cycles: list[list[int]] = []
+    cycles: list[tuple[int, ...]] = []
     for start in sorted(succ):
         if start in seen:
             continue
@@ -498,7 +462,7 @@ def _cycles(succ: dict[int, int]) -> list[list[int]]:
             arc = succ.get(arc)
         if arc is None:
             raise DiagramError([f"arc {cycle[-1]} has no successor"])
-        cycles.append(cycle)
+        cycles.append(tuple(cycle))
     return cycles
 
 
@@ -521,10 +485,8 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(
         tuple(cr for cr, _oi in flipped),
         tuple(oi for _cr, oi in flipped),
-        d.arc_component,
-        d.components,
+        d.component_arcs,
         d.framings,
-        d.marker_components,
     )
 
 
@@ -533,14 +495,7 @@ def switch_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
     crossings = list(d.crossings)
     over_in = list(d.over_in)
     crossings[i], over_in[i] = _switched(crossings[i], over_in[i])
-    return LinkDiagram(
-        tuple(crossings),
-        tuple(over_in),
-        d.arc_component,
-        d.components,
-        d.framings,
-        d.marker_components,
-    )
+    return LinkDiagram(tuple(crossings), tuple(over_in), d.component_arcs, d.framings)
 
 
 def smooth_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
@@ -604,55 +559,39 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     over_in = tuple(oi for _cr, oi in kept)
     used = {x for cr in crossings for x in cr}
 
-    new_index: dict[int, int] = {}
-    markers: set[int] = set()
-    arc_comp: dict[int, int] = {}
-    framings: list[int] = []
-    for comp in sorted(keep):
-        idx = len(framings)
-        new_index[comp] = idx
-        framings.append(d.framings[comp])
-        if comp in d.marker_components:
-            markers.add(idx)
-            continue
-        arcs = {uf.find(a) for a in d.component_arcs(comp)}
-        live = arcs & used
-        if live:
-            for a in live:
-                arc_comp[a] = idx
+    kept_comps = sorted(keep)
+    component_arcs: list[tuple[int, ...]] = []
+    for comp in kept_comps:
+        # Fused arcs are runs along the component, possibly across its start.
+        arcs: list[int] = []
+        for a in d.component_arcs[comp]:
+            a = uf.find(a)
+            if not arcs or arcs[-1] != a:
+                arcs.append(a)
+        if len(arcs) > 1 and arcs[-1] == arcs[0]:
+            arcs.pop()
+        if arcs and arcs[0] in used:
+            start = arcs.index(min(arcs))
+            component_arcs.append(tuple(arcs[start:] + arcs[:start]))
         else:
-            # Every crossing on this component vanished; it is now a bare loop.
-            markers.add(idx)
-    return LinkDiagram(
-        crossings,
-        over_in,
-        _pairs(arc_comp),
-        len(framings),
-        tuple(framings),
-        frozenset(markers),
-    )
+            # A marker, or every crossing on this component vanished and
+            # it is now a bare loop.
+            component_arcs.append(())
+    framings = tuple(d.framings[comp] for comp in kept_comps)
+    return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     """Place two diagrams side by side, reindexing arcs and components."""
     offset = max((x for cr in d1.crossings for x in cr), default=0)
-    shift = d1.components
     crossings = d1.crossings + tuple(
         tuple(x + offset for x in cr) for cr in d2.crossings
     )
-    arc_comp = dict(d1.arc_component)
-    for a, c in d2.arc_component:
-        arc_comp[a + offset] = c + shift
-    markers = frozenset(d1.marker_components) | frozenset(
-        c + shift for c in d2.marker_components
+    component_arcs = d1.component_arcs + tuple(
+        tuple(a + offset for a in arcs) for arcs in d2.component_arcs
     )
     return LinkDiagram(
-        crossings,
-        d1.over_in + d2.over_in,
-        _pairs(arc_comp),
-        d1.components + d2.components,
-        d1.framings + d2.framings,
-        markers,
+        crossings, d1.over_in + d2.over_in, component_arcs, d1.framings + d2.framings
     )
 
 
@@ -681,8 +620,9 @@ def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
         next_arc += 1
         return next_arc - 1
 
+    # Copies are allocated in arc order, which fixes the cable's arc ids.
     copies: dict[int, list[int]] = {}
-    for a in comp_of:
+    for a in sorted(comp_of):
         copies[a] = [fresh() for _ in range(m)]
 
     arc_comp: dict[int, int] = {}
@@ -734,13 +674,13 @@ def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
     # Splice compensating twists per component bundle.
     grid_crossing_count = len(crossings)
     if m > 1:
-        for comp in range(d.components):
-            if comp in d.marker_components:
+        for comp, arcs in enumerate(d.component_arcs):
+            if not arcs:
                 continue
             w = d.self_writhe(comp)
             if w == 0:
                 continue
-            anchor = min(d.component_arcs(comp))
+            anchor = arcs[0]
             cur = [(copies[anchor][j], comp * m + j) for j in range(m)]
             word: list[int] = []
             for _ in range(abs(w)):
@@ -778,26 +718,12 @@ def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
                 if new != old and old in arc_comp:
                     arc_comp[new] = arc_comp[old]
 
-    markers = frozenset(
-        comp * m + j
-        for comp in d.marker_components
-        for j in range(m)
-    )
-    framings = [0] * (d.components * m)
-    for comp in range(d.components):
-        for j in range(m):
-            framings[comp * m + j] = d.framings[comp]
-    # Drop component assignments for arcs that no longer occur.
-    used = {x for cr in crossings for x in cr}
-    arc_comp = {a: c for a, c in arc_comp.items() if a in used}
-    return LinkDiagram(
-        tuple(crossings),
-        tuple(over_in),
-        _pairs(arc_comp),
-        d.components * m,
-        tuple(framings),
-        markers,
-    )
+    # Markers stay (); every other copy is one successor cycle.
+    component_arcs: list[tuple[int, ...]] = [()] * (d.components * m)
+    for cycle in _cycles(crossings, over_in):
+        component_arcs[arc_comp[cycle[0]]] = cycle
+    framings = tuple(f for f in d.framings for _j in range(m))
+    return LinkDiagram(tuple(crossings), tuple(over_in), tuple(component_arcs), framings)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +825,4 @@ def with_framings(d: LinkDiagram, framings: Sequence[int]) -> LinkDiagram:
         raise DiagramError(
             f"expected {d.components} framings, got {len(framings)}"
         )
-    return LinkDiagram(
-        d.crossings, d.over_in, d.arc_component, d.components, framings,
-        d.marker_components,
-    )
+    return LinkDiagram(d.crossings, d.over_in, d.component_arcs, framings)

@@ -38,4 +38,5 @@ class DiagramError(FtikError):
 
 class ResourceLimitError(FtikError):
     """An exponential stage exceeded its budget: the Conway resolution
-    node budget or the bracket contraction state budget."""
+    node budget or recursion depth, or the bracket contraction state
+    budget."""

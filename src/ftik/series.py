@@ -344,15 +344,6 @@ def laurent_to_series(p: HalfLaurent, order: int) -> TruncSeries:
     return out
 
 
-def derivative_at_one(s: TruncSeries, i: int) -> Fraction:
-    """The i-th t-derivative at t = 1, i.e. i! times the u^i coefficient."""
-    if i < 0:
-        raise ValueError("derivative order must be non-negative")
-    if i > s.order:
-        raise TruncationError(i, s.order)
-    return math.factorial(i) * s.coeffs[i]
-
-
 def compose_exp_minus_one(s: TruncSeries) -> TruncSeries:
     """Reparametrise a series in u = t - 1 by u = e^h - 1.
 

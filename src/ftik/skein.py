@@ -24,6 +24,7 @@ observably pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from . import memo
 from .diagram import LinkDiagram, smooth_crossing, switch_crossing
@@ -247,29 +248,20 @@ def jones_series(d: LinkDiagram, order: int) -> TruncSeries:
 
 
 def _first_bad_crossing(d: LinkDiagram) -> tuple[int, int] | None:
-    """Walk the components in index order from fixed base points; return the
-    first crossing whose first visit is an under-passage, with its sign."""
-    succ = d.successors()
+    """Walk the components in index order, each from its smallest arc, as
+    ``component_arcs`` stores them; return the first crossing whose first
+    visit is an under-passage, with its sign."""
     head: dict[int, tuple[int, str]] = {}
     for ci, (cr, oi) in enumerate(zip(d.crossings, d.over_in)):
         head[cr[0]] = (ci, "under")
         head[cr[oi]] = (ci, "over")
-    by_comp: dict[int, list[int]] = {}
-    for a, c in d.arc_component:
-        by_comp.setdefault(c, []).append(a)
     visited: set[int] = set()
-    for comp in sorted(by_comp):
-        start = min(by_comp[comp])
-        arc = start
-        while True:
-            ci, role = head[arc]
-            if ci not in visited:
-                visited.add(ci)
-                if role == "under":
-                    return ci, d.crossing_sign(ci)
-            arc = succ[arc]
-            if arc == start:
-                break
+    for arc in chain.from_iterable(d.component_arcs):
+        ci, role = head[arc]
+        if ci not in visited:
+            visited.add(ci)
+            if role == "under":
+                return ci, d.crossing_sign(ci)
     return None
 
 
@@ -278,7 +270,9 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
     nabla(L+) - nabla(L-) = z nabla(L0).
 
     Base cases: a descending knot diagram gives 1, any split diagram gives
-    0, and the empty diagram gives 0 by convention.
+    0, and the empty diagram gives 0 by convention.  A tree with more than
+    ``node_budget`` nodes, or deeper than Python's recursion limit, raises
+    ``ResourceLimitError``.
     """
     z = IntLaurent.monomial(1)
     nodes = 0
@@ -306,7 +300,10 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
             return switched + z * smoothed
         return switched - z * smoothed
 
-    return rec(d)
+    try:
+        return rec(d)
+    except RecursionError as exc:
+        raise ResourceLimitError("conway resolution tree too deep") from exc
 
 
 def conway_a2(d: LinkDiagram) -> Fraction:

@@ -2,6 +2,7 @@
 validation."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from ftik.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from ftik.diagram import closed_braid
 from ftik.errors import ResourceLimitError, TruncationError
 
 
@@ -145,6 +147,38 @@ def test_resource_limit_exits_4(capsys, monkeypatch):
                        "--link", "catalog:trefoil-right")
     assert code == EXIT_RESOURCE_LIMIT == 4
     assert "exceeded" in err
+
+
+def test_deep_conway_tree_exits_4(tmp_path, capsys):
+    # The T(2, 81) closure resolves through a chain deeper than Python's
+    # recursion limit; that is a resource limit, not a crash (exit 1).
+    doc = closed_braid(2, [(0, 1)] * 81).to_json_dict("t-2-81")
+    path = tmp_path / "t-2-81.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compute", "--invariant", "a2",
+                         "--link", str(path))
+    assert (code, out) == (EXIT_RESOURCE_LIMIT, "")
+    assert err.startswith("error:") and "too deep" in err
+    assert "Traceback" not in err
+
+
+def test_framing_count_is_checked_before_markers_are_built(tmp_path, capsys):
+    # A million unknotted components with one framing must fail the count
+    # check without first allocating a million markers.
+    doc = catalog.get("trefoil-right").diagram.to_json_dict("huge")
+    doc.update({"unknotted_components": 10**6, "framings": [0]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "compute", "--invariant", "a2",
+                           "--link", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_INPUT
+    assert "expected 1000001 framings, got 1" in err
+    assert peak < 5 * 2**20
 
 
 def test_bracket_state_budget_exits_4(capsys, monkeypatch):

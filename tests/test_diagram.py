@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftik import catalog
 from ftik.diagram import (
@@ -39,9 +42,18 @@ def test_from_pd_rejects_bad_arc_multiplicity():
 
 def test_validate_reports_framing_mismatch():
     d = closed_braid(2, [(0, 1)] * 3)
-    bad = LinkDiagram(d.crossings, d.over_in, d.arc_component,
-                      d.components, (1, 1), d.marker_components)
+    bad = LinkDiagram(d.crossings, d.over_in, d.component_arcs, (1, 1))
     assert any("framings" in v for v in bad.validate())
+
+
+def test_validate_reports_component_arcs_off_the_successor_cycles():
+    d = closed_braid(2, [(0, 1)] * 3)
+    (arcs,) = d.component_arcs
+    rotated = arcs[1:] + arcs[:1]
+    reversed_ = arcs[:1] + arcs[:0:-1]
+    for wrong in (rotated, reversed_):
+        bad = LinkDiagram(d.crossings, d.over_in, (wrong,), d.framings)
+        assert any("successor cycles" in v for v in bad.validate()), wrong
 
 
 def test_closed_braid_components():
@@ -203,3 +215,26 @@ def test_catalog_diagrams_pass_the_face_count():
         d = entry.diagram
         for variant in (d, mirror(d), parallel(d, 2)):
             assert variant.validate() == [], entry.name
+
+
+braid_closures = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=12,
+    ).map(lambda word: closed_braid(n, word))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_closures)
+def test_every_operation_keeps_component_arcs_the_successor_cycles(d):
+    # Each constructor must hand out exactly the successor cycles, each from
+    # its smallest arc, with () for a marker; validate() checks just that.
+    derived = [d, mirror(d), parallel(d, 2), disjoint_union(d, d)]
+    derived += [sublink(d, keep) for r in range(d.components + 1)
+                for keep in combinations(range(d.components), r)]
+    for i in range(len(d.crossings)):
+        derived += [smooth_crossing(d, i), switch_crossing(d, i)]
+    for variant in derived:
+        assert variant.validate() == []

@@ -10,7 +10,6 @@ from ftik.series import (
     IntLaurent,
     TruncSeries,
     compose_exp_minus_one,
-    derivative_at_one,
     format_laurent,
     format_rational,
     half_power,
@@ -103,7 +102,6 @@ def test_laurent_to_series_roundtrip():
     hs = HalfLaurent.from_dict({1: 1, -1: 1})
     s = laurent_to_series(hs, 6)
     assert s.coeff(0) == 2
-    assert derivative_at_one(s, 0) == 2
 
 
 def test_compose_exp_minus_one():
