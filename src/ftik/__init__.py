@@ -28,7 +28,6 @@ from .fintype import (
     LAMBDA1,
     LAMBDA2,
     InvariantFunction,
-    d_pm,
     difference_sum,
     order_check,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "mirror", "parallel", "smooth_crossing", "sublink", "switch_crossing",
     "with_framings", "DiagramError", "FtikError", "ResourceLimitError",
     "SingularSeriesError", "TruncationError", "CASSON", "LAMBDA1", "LAMBDA2",
-    "InvariantFunction", "d_pm", "difference_sum", "order_check",
+    "InvariantFunction", "difference_sum", "order_check",
     "casson_invariant",
     "jones_exp_derivative", "jones_sublink_weight", "normalized_jones_series",
     "ohtsuki_lambda1", "ohtsuki_lambda2", "psi2_knot_invariant",

@@ -13,8 +13,8 @@ Diagrams are immutable values and every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, count
+from typing import Callable, Iterable, Sequence
 
 from .errors import DiagramError
 
@@ -22,14 +22,12 @@ Crossing = tuple[int, int, int, int]
 
 
 class _UnionFind:
-    """Union-find over arc or component ids that also counts joins, so a
-    class whose join count equals its size is known to have closed up into a
-    free loop.  An id that was never joined is its own singleton class."""
+    """Union-find over arc or component ids, joined by size.  An id that
+    was never joined is its own singleton class."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
         self.size: dict[int, int] = {}
-        self.joins: dict[int, int] = {}
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -44,9 +42,7 @@ class _UnionFind:
 
     def join(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
-        joins = self.joins
         if rx == ry:
-            joins[rx] = joins.get(rx, 0) + 1
             return
         size = self.size
         sx, sy = size.get(rx, 1), size.get(ry, 1)
@@ -54,11 +50,6 @@ class _UnionFind:
             rx, ry = ry, rx
         self.parent[ry] = rx
         size[rx] = sx + sy
-        joins[rx] = joins.get(rx, 0) + joins.get(ry, 0) + 1
-
-    def is_loop(self, x: int) -> bool:
-        r = self.find(x)
-        return self.joins.get(r, 0) == self.size.get(r, 1)
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,6 @@ class LinkDiagram:
     @property
     def components(self) -> int:
         return len(self.component_arcs)
-
-    @property
-    def marker_components(self) -> frozenset[int]:
-        return frozenset(c for c, arcs in enumerate(self.component_arcs) if not arcs)
 
     @property
     def unknotted_components(self) -> int:
@@ -312,6 +299,8 @@ class LinkDiagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> tuple[str, "LinkDiagram"]:
+        if not isinstance(data, dict):
+            raise DiagramError("link file must be a JSON object")
         required = {"name", "components", "framings", "crossings", "unknotted_components"}
         missing = required - set(data)
         if missing:
@@ -360,10 +349,9 @@ def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
         if len(c) != 4:
             out.append(f"crossing {i}: expected 4 arcs, got {len(c)}")
             continue
-        for arc in c:
-            if not _is_int(arc) or arc < 1:
-                out.append(f"crossing {i}: arc identifiers must be positive integers")
-                break
+        if not all(_is_int(arc) and arc >= 1 for arc in c):
+            out.append(f"crossing {i}: arc identifiers must be positive integers")
+            continue
         for arc in c:
             counts[arc] = counts.get(arc, 0) + 1
     for arc, n in sorted(counts.items()):
@@ -503,7 +491,9 @@ def smooth_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
 
     Component structure is rebuilt from scratch since the smoothing can
     merge two components or split one; framings are reset to zero (the
-    operation is only meaningful inside skein recursions).
+    operation is only meaningful inside skein recursions).  Each of the two
+    joined arc classes that no remaining crossing reads holds only arcs
+    seen twice at crossing ``i``, so it has closed into a free loop.
     """
     a, b, c, e = d.crossings[i]
     if d.over_in[i] == 1:
@@ -519,10 +509,7 @@ def smooth_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
         if j != i
     ]
     used = {x for cr, _oi in remaining for x in cr}
-    free_loops = 0
-    for rep in {uf.find(a), uf.find(o_in)}:
-        if uf.is_loop(rep) and rep not in used:
-            free_loops += 1
+    free_loops = len({uf.find(a), uf.find(o_in)} - used)
     crossings = tuple(cr for cr, _oi in remaining)
     over_in = tuple(oi for _cr, oi in remaining)
     return LinkDiagram.assemble(
@@ -603,125 +590,69 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
 def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
     """The 0-framed m-parallel: blackboard m-cable plus compensating twists.
 
-    Each crossing becomes an m-by-m grid of crossings; afterwards, for every
-    component with self-writhe w, -w full twists are spliced into its bundle
-    so that parallel copies of one component have pairwise linking number
-    zero.  Copy j of component xi receives component index ``xi * m + j`` and
-    inherits the framing of xi.
+    Each crossing becomes an m-by-m grid of crossings, and each component
+    with self-writhe w gets a block of -w full twists, so that parallel
+    copies of one component have pairwise linking number zero.  The block
+    sits on the component's first arc: that arc's copies feed it, and the
+    crossing where the arc ends reads the block's outputs.  ``into`` holds
+    the arcs read at incoming slots, ``copies`` those at outgoing slots.
+    The twist crossings follow the grid.  A successor cycle is copy j of
+    component xi when it holds copy j of xi's first arc; it gets component
+    index ``xi * m + j`` and the framing of xi.
     """
     if m < 1:
         raise ValueError("parallel multiplicity must be a positive integer")
-    comp_of = d.arc_to_component
-
-    next_arc = max((x for cr in d.crossings for x in cr), default=0) + 1
-
-    def fresh() -> int:
-        nonlocal next_arc
-        next_arc += 1
-        return next_arc - 1
-
+    fresh = count(max((x for cr in d.crossings for x in cr), default=0) + 1).__next__
     # Copies are allocated in arc order, which fixes the cable's arc ids.
-    copies: dict[int, list[int]] = {}
-    for a in sorted(comp_of):
-        copies[a] = [fresh() for _ in range(m)]
-
-    arc_comp: dict[int, int] = {}
-    for a, comp in comp_of.items():
-        for j in range(m):
-            arc_comp[copies[a][j]] = comp * m + j
+    arcs_in_order = sorted(chain.from_iterable(d.component_arcs))
+    copies = {a: [fresh() for _ in range(m)] for a in arcs_in_order}
+    into = dict(copies)
+    twists: list[Crossing] = []
+    twists_over_in: list[int] = []
+    for comp, arcs in enumerate(d.component_arcs):
+        w = d.self_writhe(comp) if m > 1 else 0
+        if w == 0:
+            continue
+        cur = list(copies[arcs[0]])
+        for _ in range(abs(w) * m):
+            for p in range(m - 1):
+                _braid_crossing(cur, p, -w, fresh, twists, twists_over_in)
+        into[arcs[0]] = cur
 
     crossings: list[Crossing] = []
     over_in: list[int] = []
-    for cr, oi in zip(d.crossings, d.over_in):
-        a, b, c, e = cr
-        # Vertical bundle (under-strand, heading north): copy j at x-position j.
-        vert = [[None] * (m + 1) for _ in range(m)]
-        for i in range(m):
-            vert[i][0] = copies[a][i]
-            vert[i][m] = copies[c][i]
-            for k in range(1, m):
-                vert[i][k] = fresh()
-                arc_comp[vert[i][k]] = comp_of[a] * m + i
-        # Horizontal bundle: copy placement depends on travel direction.
-        horiz = [[None] * (m + 1) for _ in range(m)]
+    for (a, b, c, e), oi in zip(d.crossings, d.over_in):
+        # Vertical bundle (under-strand, heading north): copy i at x-position i.
+        vert = [[into[a][i], *(fresh() for _ in range(1, m)), copies[c][i]] for i in range(m)]
+        # Horizontal bundle, row k from the south.  Entering at slot 3 (west)
+        # it heads east with its left side north, so copy j sits in row
+        # m - 1 - j; entering at slot 1 (east) it heads west, copy j in row j.
         if oi == 3:
-            # Over-strand enters at slot 3 (west), heading east; its left
-            # side is north, so copy j sits at height m - 1 - j.
-            copy_at = [m - 1 - k for k in range(m)]
-            for k in range(m):
-                j = copy_at[k]
-                horiz[k][0] = copies[e][j]
-                horiz[k][m] = copies[b][j]
+            west, east, rows = into[e], copies[b], range(m - 1, -1, -1)
         else:
-            # Enters at slot 1 (east), heading west; left side is south.
-            copy_at = list(range(m))
-            for k in range(m):
-                j = copy_at[k]
-                horiz[k][m] = copies[b][j]
-                horiz[k][0] = copies[e][j]
-        for k in range(m):
-            j = copy_at[k]
-            for l in range(1, m):
-                horiz[k][l] = fresh()
-                arc_comp[horiz[k][l]] = comp_of[b] * m + j
-        for i in range(m):
-            for k in range(m):
-                crossings.append(
-                    (vert[i][k], horiz[k][i + 1], vert[i][k + 1], horiz[k][i])
-                )
-                over_in.append(oi)
+            west, east, rows = copies[e], into[b], range(m)
+        horiz = [[west[j], *(fresh() for _ in range(1, m)), east[j]] for j in rows]
+        crossings += [
+            (vert[i][k], horiz[k][i + 1], vert[i][k + 1], horiz[k][i])
+            for i in range(m)
+            for k in range(m)
+        ]
+        over_in += [oi] * (m * m)
+    crossings += twists
+    over_in += twists_over_in
 
-    # Splice compensating twists per component bundle.
-    grid_crossing_count = len(crossings)
-    if m > 1:
-        for comp, arcs in enumerate(d.component_arcs):
-            if not arcs:
-                continue
-            w = d.self_writhe(comp)
-            if w == 0:
-                continue
-            anchor = arcs[0]
-            cur = [(copies[anchor][j], comp * m + j) for j in range(m)]
-            word: list[int] = []
-            for _ in range(abs(w)):
-                word.extend(list(range(m - 1)) * m)
-            sign = -1 if w > 0 else 1
-            for p in word:
-                x, xc = cur[p]
-                y, yc = cur[p + 1]
-                xo, yo = fresh(), fresh()
-                if sign > 0:
-                    crossings.append((y, yo, xo, x))
-                    over_in.append(3)
-                else:
-                    crossings.append((x, y, yo, xo))
-                    over_in.append(1)
-                # The strands swap positions; new arcs follow their strands.
-                arc_comp[yo] = xc
-                arc_comp[xo] = yc
-                cur[p], cur[p + 1] = (xo, yc), (yo, xc)
-            # Reconnect block outputs to where the original copies headed.
-            rename = {copies[anchor][j]: cur[j][0] for j in range(m)}
-            for idx, (cr, oi) in enumerate(zip(crossings, over_in)):
-                # Only the incoming occurrence moves to the block output; the
-                # outgoing occurrence stays attached to the block input.
-                new_cr = list(cr)
-                changed = False
-                for s in (0, oi):
-                    arc = new_cr[s]
-                    if arc in rename and idx < grid_crossing_count:
-                        new_cr[s] = rename[arc]
-                        changed = True
-                if changed:
-                    crossings[idx] = tuple(new_cr)
-            for old, new in rename.items():
-                if new != old and old in arc_comp:
-                    arc_comp[new] = arc_comp[old]
-
-    # Markers stay (); every other copy is one successor cycle.
+    # Each cycle starts at its smallest arc, the copy of its component's
+    # first arc, since the copies come first and in arc order.  Markers
+    # stay ().
+    label = {
+        copies[arcs[0]][j]: comp * m + j
+        for comp, arcs in enumerate(d.component_arcs)
+        if arcs
+        for j in range(m)
+    }
     component_arcs: list[tuple[int, ...]] = [()] * (d.components * m)
     for cycle in _cycles(crossings, over_in):
-        component_arcs[arc_comp[cycle[0]]] = cycle
+        component_arcs[label[cycle[0]]] = cycle
     framings = tuple(f for f in d.framings for _j in range(m))
     return LinkDiagram(tuple(crossings), tuple(over_in), tuple(component_arcs), framings)
 
@@ -731,6 +662,25 @@ def parallel(d: LinkDiagram, m: int) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
+def _braid_crossing(
+    cur: list[int], p: int, sign: int, fresh: Callable[[], int],
+    crossings: list[Crossing], over_in: list[int],
+) -> None:
+    """Append the braid generator at position p to a braid under
+    construction: ``cur`` holds the arc now at each strand position, and
+    sign > 0 means the left strand passes over.  The two strands swap
+    positions, and each leaves on a fresh arc."""
+    x, y = cur[p], cur[p + 1]
+    xo, yo = fresh(), fresh()
+    if sign > 0:
+        crossings.append((y, yo, xo, x))
+        over_in.append(3)
+    else:
+        crossings.append((x, y, yo, xo))
+        over_in.append(1)
+    cur[p], cur[p + 1] = xo, yo
+
+
 def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
     """Closure of a braid given as (position, sign) generator pairs.
 
@@ -738,13 +688,7 @@ def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
     left strand passes over.  Strands untouched by the word close into
     unknot markers.
     """
-    next_arc = 1
-
-    def fresh() -> int:
-        nonlocal next_arc
-        next_arc += 1
-        return next_arc - 1
-
+    fresh = count(1).__next__
     start = [fresh() for _ in range(strands)]
     cur = list(start)
     crossings: list[Crossing] = []
@@ -752,15 +696,7 @@ def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
     for p, sign in word:
         if not 0 <= p < strands - 1:
             raise ValueError(f"braid position {p} out of range")
-        x, y = cur[p], cur[p + 1]
-        xo, yo = fresh(), fresh()
-        if sign > 0:
-            crossings.append((y, yo, xo, x))
-            over_in.append(3)
-        else:
-            crossings.append((x, y, yo, xo))
-            over_in.append(1)
-        cur[p], cur[p + 1] = xo, yo
+        _braid_crossing(cur, p, sign, fresh, crossings, over_in)
     rename = {}
     untouched = 0
     for p in range(strands):
@@ -768,12 +704,8 @@ def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
             untouched += 1
         else:
             rename[cur[p]] = start[p]
-    crossings = [
-        tuple(rename.get(x, x) for x in cr) for cr in crossings
-    ]
-    return LinkDiagram.assemble(
-        tuple(crossings), tuple(over_in), None, untouched
-    )
+    crossings = tuple(tuple(rename.get(x, x) for x in cr) for cr in crossings)
+    return LinkDiagram.assemble(crossings, tuple(over_in), None, untouched)
 
 
 # ---------------------------------------------------------------------------

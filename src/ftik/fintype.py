@@ -7,8 +7,8 @@ presentations, extends to alternating sums over sublinks:
 
 and lambda has order <= k when this sum vanishes for every algebraically
 split +-1-framed link with at least k+1 components.  This module provides
-the difference operator, the alternating sum, and a reporting harness that
-checks the vanishing on a suite of presentations.  A suite of passes is
+the alternating sum and a reporting harness that checks the vanishing on a
+suite of presentations.  A suite of passes is
 evidence for the order bound, not a proof; the report says so explicitly.
 """
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .diagram import LinkDiagram, SurgeryPresentation, disjoint_union, with_framings
+from .diagram import SurgeryPresentation
 from .invariants import casson_invariant, ohtsuki_lambda1, ohtsuki_lambda2
 from .series import format_rational
 
@@ -38,23 +38,6 @@ class InvariantFunction:
 CASSON = InvariantFunction("casson", casson_invariant)
 LAMBDA1 = InvariantFunction("lambda1", ohtsuki_lambda1)
 LAMBDA2 = InvariantFunction("lambda2", ohtsuki_lambda2)
-CONSTANT_ONE = InvariantFunction("one", lambda sp: Fraction(1))
-
-
-def d_pm(
-    invariant: InvariantFunction,
-    sp: SurgeryPresentation,
-    knot: LinkDiagram,
-    framing: int,
-) -> Fraction:
-    """Difference operator: lambda(M) - lambda(M surgered along the extra
-    +-1-framed knot).  The knot diagram must have a single component."""
-    if knot.components != 1:
-        raise ValueError("the extra surgery component must be a knot")
-    extra = SurgeryPresentation(
-        disjoint_union(sp.diagram, with_framings(knot, (framing,)))
-    )
-    return invariant(sp) - invariant(extra)
 
 
 def difference_sum(

@@ -89,24 +89,29 @@ def test_compute_file_input_roundtrip(tmp_path, capsys):
 
 
 def test_malformed_file_exits_2_with_violations(tmp_path, capsys):
-    for fields in (
+    trefoil = catalog.get("trefoil-right").diagram.to_json_dict("bad")
+    docs = [{**trefoil, **fields} for fields in (
         {"crossings": [[1, 2, 3, 4], [1, 2, 3, 5]]},
         {"crossings": [5]},
         {"crossings": [[True, 4, 2, 5], [3, 6, 4, True], [5, 2, 6, 3]]},
+        # A string id must not reach the sort of the arc counts.
+        {"crossings": [["a", 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]},
         {"unknotted_components": "1"},
         {"framings": 0},
         # int() would cut 1.5 to 1 and compute on.
         {"framings": [1.5]},
         {"framings": [True]},
-    ):
-        doc = catalog.get("trefoil-right").diagram.to_json_dict("bad")
-        doc.update(fields)
+    )]
+    # A top level that is not an object.
+    docs += [5, None, [], "x"]
+    for doc in docs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "compute", "--invariant", "a2",
                              "--link", str(path))
-        assert (code, out) == (EXIT_BAD_INPUT, ""), fields
+        assert (code, out) == (EXIT_BAD_INPUT, ""), doc
         assert "malformed input" in err
+        assert isinstance(doc, dict) or "must be a JSON object" in err
 
 
 def test_missing_file_exits_2(capsys):

@@ -22,6 +22,7 @@ from ftik.diagram import (
     with_framings,
 )
 from ftik.errors import DiagramError
+from ftik.skein import jones
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 
@@ -238,3 +239,17 @@ def test_every_operation_keeps_component_arcs_the_successor_cycles(d):
         derived += [smooth_crossing(d, i), switch_crossing(d, i)]
     for variant in derived:
         assert variant.validate() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_closures)
+def test_parallel_copy_labels(d):
+    # Copy j of component c is component c*m + j of the cable, so taking
+    # copy j of every component gives back d's own diagram.
+    assert parallel(d, 1).canonical_key(True) == d.canonical_key(True)
+    expected = jones(d)
+    for m in (2, 3):
+        cable = parallel(d, m)
+        for j in range(m):
+            copy = sublink(cable, [c * m + j for c in range(d.components)])
+            assert jones(copy) == expected, (m, j)

@@ -1,5 +1,5 @@
-"""Finite-type order machinery: difference operators, alternating sums,
-and the order-evidence report."""
+"""Finite-type order machinery: alternating sums and the order-evidence
+report."""
 
 from fractions import Fraction
 
@@ -9,23 +9,12 @@ from ftik import catalog
 from ftik.diagram import SurgeryPresentation
 from ftik.fintype import (
     CASSON,
-    CONSTANT_ONE,
     LAMBDA1,
     LAMBDA2,
-    d_pm,
+    InvariantFunction,
     difference_sum,
     order_check,
 )
-
-
-def test_d_pm_trefoil():
-    empty = catalog.presentation("empty")
-    tref = catalog.get("trefoil-right").diagram
-    # lambda_C(S^3) - lambda_C(+1 surgery on trefoil) = 0 - 1.
-    assert d_pm(CASSON, empty, tref, 1) == -1
-    assert d_pm(CASSON, empty, tref, -1) == 1
-    with pytest.raises(ValueError):
-        d_pm(CASSON, empty, catalog.get("whitehead").diagram, 1)
 
 
 def test_difference_sum_casson_vanishes_on_four_components():
@@ -48,8 +37,9 @@ def test_difference_sum_lambda2_vanishes_on_seven_split():
 def test_difference_sum_constant_vanishes_everywhere_nonempty():
     # The constant invariant has order 0: its alternating sum over the
     # sub-presentations of any nonempty link is (1 - 1)^n = 0.
+    one = InvariantFunction("one", lambda sp: Fraction(1))
     for name in ("unknot-plus1", "whitehead-plus1", "borromean-plus1"):
-        assert difference_sum(CONSTANT_ONE, catalog.presentation(name)) == 0
+        assert difference_sum(one, catalog.presentation(name)) == 0
 
 
 def test_order_check_report_shape():
