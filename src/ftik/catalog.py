@@ -26,6 +26,7 @@ from .diagram import (
     mirror,
     with_framings,
 )
+from .errors import DiagramError
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -187,7 +188,7 @@ def asl_entries(min_components: int = 0) -> list[CatalogEntry]:
             continue
         try:
             SurgeryPresentation(e.diagram)
-        except Exception:
+        except DiagramError:
             continue
         out.append(e)
     return out

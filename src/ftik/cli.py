@@ -10,7 +10,9 @@ Exit codes:
 
 * 0 -- success.
 * 1 -- a verification check (or ``--self-check``) failed.
-* 2 -- malformed input, with the validation violation list.
+* 2 -- malformed input, with the validation violation list: an invalid
+  or unreadable link file, an unknown catalog name, or a diagram outside
+  the invariant's domain.  Any other exception is a bug and propagates.
 * 3 -- internal truncation error: a series was read past the order it
   was expanded to.  Every computation works out its own order from its
   input, so this is a bug, not malformed input.
@@ -97,7 +99,12 @@ def load_link(spec: str) -> tuple[str, LinkDiagram]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    name, d = load_link(args.link)
+    try:
+        name, d = load_link(args.link)
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        # An unreadable file, bad JSON or an unknown catalog name.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     evaluate, variable = INVARIANTS[args.invariant]
     raw = evaluate(d)
     value = format_rational(raw) if variable is None else format_laurent(raw, variable)
@@ -324,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except (FtikError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except FtikError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

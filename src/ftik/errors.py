@@ -26,8 +26,10 @@ class SingularSeriesError(FtikError):
     """Inversion of a truncated series with vanishing constant term."""
 
 
-class DiagramError(FtikError):
-    """A structurally invalid link diagram or surgery presentation."""
+class DiagramError(FtikError, ValueError):
+    """A structurally invalid link diagram or surgery presentation, or a
+    diagram outside an invariant's domain (psi2 of a link, the Jones
+    polynomial of the empty link)."""
 
     def __init__(self, violations):
         if isinstance(violations, str):

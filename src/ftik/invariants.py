@@ -18,9 +18,11 @@ taken with both copies.  The induced knot invariant psi2 evaluates lambda2
 on +1-surgery and has a closed form in derivatives of V(e^h) at h = 0
 together with the z^4 Conway coefficient.
 
-Everything is exact rational arithmetic.  Each series is expanded exactly
-as far as its formula reads it: order #L + i for phi_i, i for v_i, and
-2n + 2 for lambda2 on n components.
+The alternating sum is taken on integral Jones polynomials: multiplied by
+(t^{1/2} + t^{-1/2})^(#L - 1) it is a Laurent polynomial P(L) with integer
+coefficients, memoized per split piece, and only the final division
+expands a series.  Everything is exact.  Each series is expanded exactly
+as far as its formula reads it: order #L + i for phi_i and i for v_i.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from itertools import combinations, product
 
 from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
-from .errors import TruncationError
-from .series import TruncSeries, compose_exp_minus_one, laurent_to_series
-from .skein import HALF_SUM, conway, conway_a2, jones_series
+from .errors import DiagramError
+from .series import HalfLaurent, TruncSeries, compose_exp_minus_one, laurent_to_series
+from .skein import HALF_SUM, conway, conway_a2, jones, jones_series
 
 clear_caches = memo.clear
 
@@ -44,22 +46,15 @@ def normalized_jones_series(d: LinkDiagram, order: int) -> TruncSeries:
     The empty link gives exactly 1: its Jones value cancels the inverse
     power of the denominator.
     """
-    if d.components == 0:
-        return TruncSeries.one(order)
-    return memo.lookup("X", (d.canonical_key(), order), _normalized_jones_series, d, order)
-
-
-def _normalized_jones_series(d: LinkDiagram, order: int) -> TruncSeries:
-    numerator = jones_series(d, order)
     denom = laurent_to_series(HALF_SUM, order) ** (d.components - 1)
-    return numerator * denom.invert()
+    return jones_series(d, order) * denom.invert()
 
 
 def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all 2^#L sublinks, empty link included.
 
     Brute-force enumeration; kept as the independent oracle for the
-    factored evaluation below.
+    evaluation below.
     """
     n = d.components
     total = TruncSeries.zero(order)
@@ -72,49 +67,66 @@ def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
 
 
 def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
-    """Alternating sum of X over all sublinks, evaluated piece by piece.
+    """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
+    s = t^{1/2} + t^{-1/2} and P the integral Jones sum below."""
+    if d.components == 0:
+        return TruncSeries.one(order)
+    denom = laurent_to_series(HALF_SUM ** (d.components - 1), order)
+    return laurent_to_series(_alternating_jones(d), order) * denom.invert()
 
-    X is multiplicative over split unions (an exact consequence of the
-    bracket evaluation: V(L1 u L2) = (t^{1/2}+t^{-1/2}) V(L1) V(L2)), so
-    the sublink sum factors over split pieces.  A split unknot piece has
-    X(O) - X(empty) = 0, killing the whole product.
+
+def _alternating_jones(d: LinkDiagram) -> HalfLaurent:
+    """P(L) = sum over sublinks L' of (-s)^(#L - #L') V(L'), where the
+    empty sublink has V = 1/s.
+
+    P is s^(#L - 1) times the alternating sum of X, so it has integer
+    coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
+    gives P(L1 u L2) = s P(L1) P(L2), so P is taken per split piece and
+    memoized by piece; an unknot piece has P = V(O) - 1 = 0.
     """
     pieces = d.split_pieces()
-    if len(pieces) <= 1:
-        return sublink_alternating_series_naive(d, order)
-    total = TruncSeries.one(order)
+    if len(pieces) == 1:
+        return memo.lookup("alt", d.canonical_key(), _alternating_jones_piece, d)
+    total = HALF_SUM ** (len(pieces) - 1)
     for comps, _indices in pieces:
-        total = total * sublink_alternating_series_naive(sublink(d, comps), order)
+        total = total * _alternating_jones(sublink(d, comps))
         if total.is_zero():
             break
     return total
 
 
-def jones_sublink_weight(d: LinkDiagram, i: int, order: int | None = None) -> Fraction:
+def _alternating_jones_piece(d: LinkDiagram) -> HalfLaurent:
+    # Horner's rule in sublink size: with A_k the sum of V over the
+    # k-component sublinks, P = A_n - s(A_(n-1) - s(... - s A_1))
+    # + (-1)^n s^(n-1).
+    n = d.components
+    total = HalfLaurent.zero()
+    for size in range(1, n + 1):
+        level = HalfLaurent.zero()
+        for keep in combinations(range(n), size):
+            level = level + jones(sublink(d, keep))
+        total = level - HALF_SUM * total
+    return total + (HALF_SUM ** (n - 1)).scale((-1) ** n)
+
+
+def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     """The scaled derivative phi_i = (-2)^#L / (#L + i)! * Phi_(#L + i),
-    where Phi_k is the k-th t-derivative of the alternating sum at t = 1.
+    where Phi_k is the k-th t-derivative of the alternating sum at t = 1."""
+    return memo.lookup("phi", (d.canonical_key(), i), _sublink_weight, d, i)
 
-    The sum is expanded to ``order``, by default exactly #L + i.  lambda2
-    passes one order for every sublink it weighs, so those sublinks share
-    their memoized X series.
-    """
+
+def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     needed = d.components + i
-    if order is None:
-        order = needed
-    if needed > order:
-        # Checked before the memo, whose key does not hold the order.
-        raise TruncationError(needed, order)
-    return memo.lookup("phi", (d.canonical_key(), i), _sublink_weight, d, needed, order)
-
-
-def _sublink_weight(d: LinkDiagram, needed: int, order: int) -> Fraction:
-    phi = sublink_alternating_series(d, order)
+    phi = sublink_alternating_series(d, needed)
     return Fraction((-2) ** d.components) * phi.coeff(needed)
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     """Hoste's surgery formula; the empty sublink contributes a2 = 0."""
-    d = sp.diagram
+    return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
+
+
+def _casson_sum(d: LinkDiagram) -> Fraction:
     n = d.components
     total = Fraction(0)
     for size in range(1, n + 1):
@@ -148,12 +160,10 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
     n = d.components
-    # phi2 of the fully doubled cable (2n circles) reads order 2n + 2.
-    order = 2 * n + 2
     total = Fraction(0)
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
-            phi1 = jones_sublink_weight(sublink(d, keep), 1, order)
+            phi1 = jones_sublink_weight(sublink(d, keep), 1)
             if phi1 != 0:
                 f = 1
                 for c in keep:
@@ -175,7 +185,7 @@ def _lambda2_sum(d: LinkDiagram) -> Fraction:
                     circles.append(2 * comp + 1)
                     f *= d.framings[comp]
                     s2 += 1
-            phi2 = jones_sublink_weight(sublink(cable, circles), 2, order)
+            phi2 = jones_sublink_weight(sublink(cable, circles), 2)
             if phi2 != 0:
                 total += phi2 * f * Fraction(1, 2**s2)
     return total
@@ -211,7 +221,7 @@ def psi2_knot_invariant(d: LinkDiagram) -> Fraction:
     figure-eight knot), so it is not used here.
     """
     if d.components != 1:
-        raise ValueError("psi2 is a knot invariant; diagram must have one component")
+        raise DiagramError("psi2 is a knot invariant; diagram must have one component")
     v2 = jones_exp_derivative(d, 2)
     v3 = jones_exp_derivative(d, 3)
     a4 = conway(d).coeff(4)

@@ -1,14 +1,15 @@
 """The memo layer: every per-diagram value that ftik caches lives here.
 
 Each table is keyed by a relabelling-invariant diagram key
-(``LinkDiagram.canonical_key``), extended by the truncation order or the
-derivative index where the value depends on it, so a hit returns exactly
-what a fresh computation would and every memoized function stays
-observably pure.  Only returned values are stored: a computation that
+(``LinkDiagram.canonical_key``; the framed key for the surgery sums),
+extended by the derivative index where the value depends on it, so a hit
+returns exactly what a fresh computation would and every memoized
+function stays observably pure.  Only returned values are stored: a computation that
 raises leaves no entry behind.
 
-Tables: ``bracket`` (per split piece), ``jones``, ``X`` (normalized Jones
-series), ``a2``, ``phi`` (sublink weights) and ``lambda2``.
+Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
+alternating sublink sum, per split piece), ``a2``, ``phi`` (sublink
+weights), ``casson`` and ``lambda2``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Callable, Hashable, TypeVar
 T = TypeVar("T")
 
 _TABLES: dict[str, dict] = {
-    name: {} for name in ("bracket", "jones", "X", "a2", "phi", "lambda2")
+    name: {} for name in ("bracket", "jones", "alt", "a2", "phi", "casson", "lambda2")
 }
 
 

@@ -10,7 +10,10 @@ Three value types cover everything the invariant pipeline needs:
   order, used to extract derivatives at t = 1 and (after reparametrising
   by u = e^h - 1) at h = 0.
 
-All coefficients are ``fractions.Fraction``; nothing here ever rounds.
+Laurent coefficients are ``int``: every polynomial the pipeline builds
+(bracket, Jones, Conway, the alternating sublink sum) has integer
+coefficients, and exact division checks its remainder.  Series
+coefficients are ``fractions.Fraction``.  Nothing here ever rounds.
 Values are immutable, so everything in this module is safe to share
 between threads.
 """
@@ -38,22 +41,22 @@ def _fr(x: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class _Laurent:
-    """Shared implementation of exact single-variable Laurent polynomials.
+    """Shared implementation of single-variable Laurent polynomials with
+    integer coefficients.
 
     ``terms`` maps exponent -> coefficient, stored as a sorted tuple of
     pairs with no zero coefficients.  Subclasses fix the interpretation of
     the exponent (integers vs. half-integers counted in halves).
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    terms: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def from_dict(cls, d: Mapping[int, RationalLike]):
-        items = tuple(sorted((e, _fr(c)) for e, c in d.items() if _fr(c) != 0))
-        return cls(items)
+    def from_dict(cls, d: Mapping[int, int]):
+        return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: RationalLike = 1):
+    def monomial(cls, exponent: int, coeff: int = 1):
         return cls.from_dict({exponent: coeff})
 
     @classmethod
@@ -64,43 +67,42 @@ class _Laurent:
     def one(cls):
         return cls.from_dict({0: 1})
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exponent: int) -> Fraction:
+    def coeff(self, exponent: int) -> int:
         for e, c in self.terms:
             if e == exponent:
                 return c
-        return Fraction(0)
+        return 0
 
     def __add__(self, other):
         d = self.as_dict()
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
+            d[e] = d.get(e, 0) + c
         return type(self).from_dict(d)
 
     def __sub__(self, other):
         d = self.as_dict()
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) - c
+            d[e] = d.get(e, 0) - c
         return type(self).from_dict(d)
 
     def __neg__(self):
         return type(self)(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other):
-        d: dict[int, Fraction] = {}
+        d: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
+                d[e] = d.get(e, 0) + c1 * c2
         return type(self).from_dict(d)
 
-    def scale(self, k: RationalLike):
-        k = _fr(k)
+    def scale(self, k: int):
         if k == 0:
             return type(self)(())
         return type(self)(tuple((e, c * k) for e, c in self.terms))
@@ -122,8 +124,8 @@ class _Laurent:
         return result
 
     def divide_exact(self, divisor):
-        """Exact division; raises ``SingularSeriesError`` if the division
-        leaves a remainder."""
+        """Exact division; raises ``SingularSeriesError`` unless the
+        quotient is a Laurent polynomial with integer coefficients."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -133,24 +135,21 @@ class _Laurent:
         # An exact quotient cannot reach below the difference of the lowest
         # exponents; descending past that bound means inexact division.
         min_q_e = self.terms[0][0] - divisor.terms[0][0]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int] = {}
         while rem:
             e = max(rem)
             q_e = e - dlead_e
-            if q_e < min_q_e:
+            q_c, r = divmod(rem[e], dlead_c)
+            if q_e < min_q_e or r:
                 raise SingularSeriesError("inexact Laurent division")
-            q_c = rem[e] / dlead_c
             quot[q_e] = q_c
             for de, dc in divisor.terms:
                 key = de + q_e
-                v = rem.get(key, Fraction(0)) - dc * q_c
+                v = rem.get(key, 0) - dc * q_c
                 if v == 0:
                     rem.pop(key, None)
                 else:
                     rem[key] = v
-        for e in list(quot):
-            if quot[e] == 0:
-                del quot[e]
         check = type(self).from_dict(quot) * divisor
         if check != self:
             raise SingularSeriesError("inexact Laurent division")
@@ -174,7 +173,7 @@ class HalfLaurent(_Laurent):
         return cls(tuple((2 * e, c) for e, c in p.terms))
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: RationalLike) -> str:
     x = _fr(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

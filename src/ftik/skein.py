@@ -28,7 +28,7 @@ from itertools import chain
 
 from . import memo
 from .diagram import LinkDiagram, smooth_crossing, switch_crossing
-from .errors import ResourceLimitError
+from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
 # Loop value -A^2 - A^(-2).
@@ -217,7 +217,7 @@ def jones(d: LinkDiagram) -> HalfLaurent:
     direction absorbs the t -> t^{-1} change of variable.
     """
     if d.components == 0:
-        raise ValueError("the empty link is handled by jones_series")
+        raise DiagramError("the empty link is handled by jones_series")
     return memo.lookup("jones", d.canonical_key(), _jones, d)
 
 
@@ -225,7 +225,7 @@ def _jones(d: LinkDiagram) -> HalfLaurent:
     w = d.writhe()
     br = kauffman_bracket(d)
     normalized = br.shift(-3 * w).scale((-1) ** (w % 2))
-    halves: dict[int, Fraction] = {}
+    halves: dict[int, int] = {}
     for e, coeff in normalized.terms:
         if e % 2 != 0:
             raise AssertionError("normalized bracket has odd A-exponent")
@@ -325,4 +325,4 @@ def conway_a2(d: LinkDiagram) -> Fraction:
     if d.components == 0:
         return Fraction(0)
     sign = -1 if d.components % 2 == 0 else 1
-    return sign * conway(d).coeff(d.components + 1)
+    return Fraction(sign * conway(d).coeff(d.components + 1))

@@ -140,7 +140,7 @@ def test_criterion_7_vanishing_lemmas():
         for e in catalog.asl_entries(min_components=4)
     )
     seven = catalog.get("split-seven-plus1").diagram
-    phi2_ok = jones_sublink_weight(seven, 2, order=20) == 0
+    phi2_ok = jones_sublink_weight(seven, 2) == 0
     ok = a2_ok and phi2_ok
     report(7, ok, "a2 = 0 on >= 4-component catalog ASLs; phi2 = 0 on the "
                   "7-component split union")

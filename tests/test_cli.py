@@ -207,6 +207,28 @@ def test_internal_truncation_error_exits_3(capsys, monkeypatch):
     assert "internal truncation error" in err
 
 
+def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
+    # Only input parsing maps to exit 2; a bug inside an evaluator escapes.
+    def broken(d):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(ftik.cli, "conway", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["compute", "--invariant", "conway", "--link", "catalog:trefoil-right"])
+    assert capsys.readouterr().err == ""
+
+
+def test_domain_errors_exit_2(capsys):
+    code, out, err = run(capsys, "compute", "--invariant", "psi2",
+                         "--link", "catalog:whitehead")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert "psi2 is a knot invariant" in err
+    code, out, err = run(capsys, "compute", "--invariant", "jones",
+                         "--link", "catalog:empty")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert "empty link" in err
+
+
 def test_verify_suite_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "skein")
     assert code == EXIT_OK

@@ -4,12 +4,16 @@ the induced knot invariant psi2."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftik import catalog, memo
 from ftik.diagram import (
     SurgeryPresentation,
     closed_braid,
     disjoint_union,
+    parallel,
+    sublink,
     with_framings,
 )
 from ftik.invariants import (
@@ -23,6 +27,8 @@ from ftik.invariants import (
     sublink_alternating_series,
     sublink_alternating_series_naive,
 )
+from ftik.skein import conway_a2
+from test_skein import braid_closures
 
 
 def sp(name):
@@ -89,6 +95,28 @@ def test_sublink_alternating_series_factored_matches_naive():
     # A split unknot component kills the whole alternating sum.
     with_unknot = disjoint_union(split, catalog.get("unknot").diagram)
     assert sublink_alternating_series(with_unknot, 8).is_zero()
+
+
+closures_unions_and_cables = st.one_of(
+    braid_closures,
+    st.tuples(braid_closures, braid_closures).map(lambda ds: disjoint_union(*ds)),
+    braid_closures.filter(lambda d: len(d.crossings) <= 5).map(lambda d: parallel(d, 2)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(closures_unions_and_cables)
+def test_integral_alternating_sum_matches_naive_oracle(d):
+    order = d.components + 3
+    fast = sublink_alternating_series(d, order)
+    memo.clear()
+    assert fast.coeffs == sublink_alternating_series_naive(d, order).coeffs
+    # Every example's first component is a knot, a cable's with its twists.
+    knot = sublink(d, [0])
+    assert jones_sublink_weight(knot, 1) == 6 * conway_a2(knot)
+    if len(knot.crossings) <= 7:
+        plus_one = SurgeryPresentation(with_framings(knot, (1,)))
+        assert psi2_knot_invariant(knot) == ohtsuki_lambda2(plus_one)
 
 
 def test_lambda2_anchor_values():

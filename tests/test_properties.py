@@ -1,5 +1,7 @@
 """Property checks that hold across the whole catalog."""
 
+import pytest
+
 from ftik import catalog
 from ftik.diagram import SurgeryPresentation, mirror, parallel
 from ftik.fintype import CASSON, LAMBDA1, difference_sum
@@ -48,6 +50,17 @@ def test_split_links_have_vanishing_low_phi():
         d = catalog.get(name).diagram
         s = sublink_alternating_series(d, d.components + 2)
         assert all(s.coeff(i) == 0 for i in range(d.components + 1)), name
+
+
+def test_asl_entries_skips_only_diagram_errors(monkeypatch):
+    # A bug in presentation validation must not silently drop entries from
+    # the suites that iterate over the ASLs.
+    def broken(d):
+        raise KeyError("internal bug")
+
+    monkeypatch.setattr(catalog, "SurgeryPresentation", broken)
+    with pytest.raises(KeyError, match="internal bug"):
+        catalog.asl_entries()
 
 
 def test_mirror_right_trefoil_is_left_by_jones():

@@ -27,8 +27,8 @@ def test_laurent_ring_ops():
 
 
 def test_laurent_negative_exponents():
-    p = IntLaurent.monomial(-2, 3) * IntLaurent.monomial(5, Fraction(1, 3))
-    assert p == IntLaurent.monomial(3)
+    p = IntLaurent.monomial(-2, 3) * IntLaurent.monomial(5, 2)
+    assert p == IntLaurent.monomial(3, 6)
 
 
 def test_divide_exact():
@@ -41,6 +41,15 @@ def test_divide_exact():
         IntLaurent.one() + IntLaurent.monomial(-1)
     with pytest.raises(SingularSeriesError):
         (z**2 + IntLaurent.one()).divide_exact(z + IntLaurent.one())
+
+
+def test_divide_exact_rejects_a_fractional_quotient():
+    # Coefficients are integers, so z / 2 is not exact, and the quotient
+    # must not be truncated to 0.
+    with pytest.raises(SingularSeriesError):
+        IntLaurent.monomial(1).divide_exact(IntLaurent.monomial(0, 2))
+    assert IntLaurent.monomial(1, 4).divide_exact(IntLaurent.monomial(0, -2)) == \
+        IntLaurent.monomial(1, -2)
 
 
 def test_half_laurent_embedding():

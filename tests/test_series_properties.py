@@ -16,11 +16,12 @@ from ftik.series import (
 coeffs = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
 )
+int_coeffs = st.integers(min_value=-50, max_value=50)
 laurents = st.dictionaries(
-    st.integers(min_value=-6, max_value=6), coeffs, max_size=5
+    st.integers(min_value=-6, max_value=6), int_coeffs, max_size=5
 ).map(IntLaurent.from_dict)
 half_laurents = st.dictionaries(
-    st.integers(min_value=-9, max_value=9), coeffs, max_size=5
+    st.integers(min_value=-9, max_value=9), int_coeffs, max_size=5
 ).map(HalfLaurent.from_dict)
 series = st.lists(coeffs, min_size=7, max_size=7).map(
     lambda cs: TruncSeries.from_coeffs(cs, 6)
