@@ -13,9 +13,10 @@ Exit codes:
 * 2 -- malformed input, with the validation violation list: an invalid
   or unreadable link file, an unknown catalog name, or a diagram outside
   the invariant's domain.  Any other exception is a bug and propagates.
-* 3 -- internal truncation error: a series was read past the order it
-  was expanded to.  Every computation works out its own order from its
-  input, so this is a bug, not malformed input.
+* 3 -- internal error: a series was read past the order it was
+  expanded to, or a series with zero constant term was inverted.  Every
+  computation works out its own orders and denominators from its input,
+  so this is a bug, not malformed input.
 * 4 -- a resource limit was hit (the Conway resolution node budget or
   recursion depth, or the bracket contraction state budget).
 """
@@ -35,44 +36,17 @@ from .diagram import (
     switch_crossing,
     with_framings,
 )
-from .errors import DiagramError, FtikError, ResourceLimitError, TruncationError
-from .fintype import CASSON, LAMBDA2, order_check
-from .invariants import (
-    casson_invariant,
-    jones_exp_derivative,
-    jones_sublink_weight,
-    normalized_jones_series,
-    ohtsuki_lambda1,
-    ohtsuki_lambda2,
-    psi2_knot_invariant,
-)
+from .errors import DiagramError, ResourceLimitError, SingularSeriesError, TruncationError
+from .fintype import CASSON, INVARIANTS, LAMBDA2, order_check
+from .invariants import jones_exp_derivative, normalized_jones_series
 from .series import HalfLaurent, format_laurent, format_rational
-from .skein import conway, conway_a2, jones
+from .skein import jones
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_TRUNCATION = 3
 EXIT_RESOURCE_LIMIT = 4
-
-#: The invariant table behind ``compute`` and the ``paper-values`` suite:
-#: name -> (evaluate(diagram), polynomial variable or None for a
-#: rational).  Entries look their function up at call time, so a function
-#: rebound on this module (e.g. by a tracer) sees every call.
-INVARIANTS = {
-    "casson": (lambda d: casson_invariant(SurgeryPresentation(d)), None),
-    "lambda1": (lambda d: ohtsuki_lambda1(SurgeryPresentation(d)), None),
-    "lambda2": (lambda d: ohtsuki_lambda2(SurgeryPresentation(d)), None),
-    "psi2": (lambda d: psi2_knot_invariant(d), None),
-    "a2": (lambda d: conway_a2(d), None),
-    "jones": (lambda d: jones(d), "t"),
-    "conway": (lambda d: conway(d), "z"),
-    "phi1": (lambda d: jones_sublink_weight(d, 1), None),
-    "phi2": (lambda d: jones_sublink_weight(d, 2), None),
-    "v2": (lambda d: jones_exp_derivative(d, 2), None),
-    "v3": (lambda d: jones_exp_derivative(d, 3), None),
-    "v4": (lambda d: jones_exp_derivative(d, 4), None),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +60,7 @@ def load_link(spec: str) -> tuple[str, LinkDiagram]:
         return entry.name, entry.diagram
     with open(spec, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    name, d = LinkDiagram.from_json_dict(data)
-    violations = d.validate()
-    if violations:
-        raise DiagramError(violations)
-    return name, d
+    return LinkDiagram.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +80,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     value = format_rational(raw) if variable is None else format_laurent(raw, variable)
     payload = {"invariant": args.invariant, "link": name, "value": value}
     if args.self_check:
-        phi1 = jones_sublink_weight(d, 1)
-        six_a2 = 6 * conway_a2(d)
+        phi1 = INVARIANTS["phi1"][0](d)
+        six_a2 = 6 * INVARIANTS["a2"][0](d)
         payload["self_check"] = {
             "phi1": format_rational(phi1),
             "six_a2": format_rational(six_a2),
@@ -148,8 +118,8 @@ def _suite_paper_values() -> list[dict]:
             value = INVARIANTS[inv][0](entry.diagram)
             _check(out, f"{entry.name}:{inv}", value, value == expected)
     unknot = _catalog.get("unknot").diagram
-    _check(out, "unknot:jones", format_laurent(jones(unknot), "t"),
-           jones(unknot) == HalfLaurent.one())
+    v = INVARIANTS["jones"][0](unknot)
+    _check(out, "unknot:jones", format_laurent(v, "t"), v == HalfLaurent.one())
     for i in (1, 2, 3, 4):
         v = jones_exp_derivative(unknot, i)
         _check(out, f"unknot:v{i}", v, v == 0)
@@ -205,9 +175,8 @@ def _suite_order() -> list[dict]:
 def _suite_integrality() -> list[dict]:
     out: list[dict] = []
     for entry in _catalog.asl_entries():
-        sp = SurgeryPresentation(entry.diagram)
-        l1 = ohtsuki_lambda1(sp)
-        l2 = ohtsuki_lambda2(sp)
+        l1 = INVARIANTS["lambda1"][0](entry.diagram)
+        l2 = INVARIANTS["lambda2"][0](entry.diagram)
         _check(out, f"{entry.name}:lambda1-mod-6", l1,
                l1.denominator == 1 and l1 % 6 == 0)
         _check(out, f"{entry.name}:lambda2-mod-3", l2,
@@ -220,14 +189,13 @@ def _suite_cross_formula() -> list[dict]:
     for entry in _catalog.entries():
         d = entry.diagram
         if d.components == 1 and all(f == 0 for f in d.framings):
-            framed = SurgeryPresentation(with_framings(d, (1,)))
-            l2 = ohtsuki_lambda2(framed)
-            p2 = psi2_knot_invariant(d)
+            l2 = INVARIANTS["lambda2"][0](with_framings(d, (1,)))
+            p2 = INVARIANTS["psi2"][0](d)
             _check(out, f"{entry.name}:psi2-vs-lambda2", p2, p2 == l2)
     for entry in _catalog.asl_entries():
         d = entry.diagram
-        phi1 = jones_sublink_weight(d, 1)
-        six_a2 = 6 * conway_a2(d)
+        phi1 = INVARIANTS["phi1"][0](d)
+        six_a2 = 6 * INVARIANTS["a2"][0](d)
         _check(out, f"{entry.name}:phi1-vs-6a2", phi1, phi1 == six_a2)
     return out
 
@@ -320,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TruncationError as exc:
-        print(f"error: internal truncation error: {exc}", file=sys.stderr)
+    except (TruncationError, SingularSeriesError) as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     except DiagramError as exc:
         print("error: malformed input:", file=sys.stderr)
@@ -331,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except FtikError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

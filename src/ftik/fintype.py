@@ -7,8 +7,8 @@ presentations, extends to alternating sums over sublinks:
 
 and lambda has order <= k when this sum vanishes for every algebraically
 split +-1-framed link with at least k+1 components.  This module provides
-the alternating sum and a reporting harness that checks the vanishing on a
-suite of presentations.  A suite of passes is
+the table of invariants, the alternating sum and a reporting harness that
+checks the vanishing on a suite of presentations.  A suite of passes is
 evidence for the order bound, not a proof; the report says so explicitly.
 """
 
@@ -20,8 +20,16 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .diagram import SurgeryPresentation
-from .invariants import casson_invariant, ohtsuki_lambda1, ohtsuki_lambda2
+from .invariants import (
+    casson_invariant,
+    jones_exp_derivative,
+    jones_sublink_weight,
+    ohtsuki_lambda1,
+    ohtsuki_lambda2,
+    psi2_knot_invariant,
+)
 from .series import format_rational
+from .skein import conway, conway_a2, jones
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,27 @@ class InvariantFunction:
 CASSON = InvariantFunction("casson", casson_invariant)
 LAMBDA1 = InvariantFunction("lambda1", ohtsuki_lambda1)
 LAMBDA2 = InvariantFunction("lambda2", ohtsuki_lambda2)
+
+#: The invariant table behind ``compute`` and the verify suites: name ->
+#: (evaluate(diagram), polynomial variable or None for a rational).  The
+#: surgery rows call through ``CASSON``, ``LAMBDA1`` and ``LAMBDA2``, and
+#: the other rows look their function up at call time, so a function
+#: rebound on this module or on those objects (e.g. by a tracer) sees
+#: every call.
+INVARIANTS = {
+    "casson": (lambda d: CASSON(SurgeryPresentation(d)), None),
+    "lambda1": (lambda d: LAMBDA1(SurgeryPresentation(d)), None),
+    "lambda2": (lambda d: LAMBDA2(SurgeryPresentation(d)), None),
+    "psi2": (lambda d: psi2_knot_invariant(d), None),
+    "a2": (lambda d: conway_a2(d), None),
+    "jones": (lambda d: jones(d), "t"),
+    "conway": (lambda d: conway(d), "z"),
+    "phi1": (lambda d: jones_sublink_weight(d, 1), None),
+    "phi2": (lambda d: jones_sublink_weight(d, 2), None),
+    "v2": (lambda d: jones_exp_derivative(d, 2), None),
+    "v3": (lambda d: jones_exp_derivative(d, 3), None),
+    "v4": (lambda d: jones_exp_derivative(d, 4), None),
+}
 
 
 def difference_sum(

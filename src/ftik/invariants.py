@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable
 
 from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
@@ -123,21 +124,19 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     """Hoste's surgery formula; the empty sublink contributes a2 = 0."""
-    return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
+    return memo.lookup("casson", sp.canonical_key(), _framed_sublink_sum, sp.diagram, conway_a2)
 
 
-def _casson_sum(d: LinkDiagram) -> Fraction:
+def _framed_sublink_sum(d: LinkDiagram, weight: Callable[[LinkDiagram], Fraction]) -> Fraction:
+    """Sum over nonempty sublinks L' of f(L') weight(L'), with f the
+    product of the framings of L'."""
     n = d.components
     total = Fraction(0)
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
-            sub = sublink(d, keep)
-            a2 = memo.lookup("a2", sub.canonical_key(), conway_a2, sub)
-            if a2 != 0:
-                f = 1
-                for c in keep:
-                    f *= d.framings[c]
-                total += f * a2
+            w = weight(sublink(d, keep))
+            if w != 0:
+                total += math.prod(d.framings[c] for c in keep) * w
     return total
 
 
@@ -160,15 +159,8 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
     n = d.components
-    total = Fraction(0)
-    for size in range(1, n + 1):
-        for keep in combinations(range(n), size):
-            phi1 = jones_sublink_weight(sublink(d, keep), 1)
-            if phi1 != 0:
-                f = 1
-                for c in keep:
-                    f *= d.framings[c]
-                total += phi1 * f * Fraction(size, 2)
+    total = _framed_sublink_sum(
+        d, lambda sub: jones_sublink_weight(sub, 1) * Fraction(sub.components, 2))
     if n > 0:
         cable = parallel(d, 2)
         for counts in product((0, 1, 2), repeat=n):

@@ -16,8 +16,8 @@ i.e. the classical polynomial with t replaced by t^{-1} and an overall
 sign (-1)^(#components - 1).  The Conway polynomial is computed by a skein
 resolution tree that unknots diagrams towards descending form.
 
-Bracket pieces and Jones values are memoized in ``ftik.memo`` by a
-relabelling-invariant diagram key, so every function here remains
+Bracket pieces, Jones values and a2 values are memoized in ``ftik.memo``
+by a relabelling-invariant diagram key, so every function here remains
 observably pure.
 """
 
@@ -322,6 +322,10 @@ def conway_a2(d: LinkDiagram) -> Fraction:
     Whitehead link versus the equivalent twist-knot surgeries).  The empty
     link gets 0.
     """
+    return memo.lookup("a2", d.canonical_key(), _conway_a2, d)
+
+
+def _conway_a2(d: LinkDiagram) -> Fraction:
     if d.components == 0:
         return Fraction(0)
     sign = -1 if d.components % 2 == 0 else 1

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from ftik import catalog
-import ftik.cli
+import ftik.fintype
 import ftik.skein
 from ftik.cli import (
     EXIT_BAD_INPUT,
@@ -17,8 +17,19 @@ from ftik.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from ftik.diagram import closed_braid
-from ftik.errors import ResourceLimitError, TruncationError
+from ftik.diagram import SurgeryPresentation, closed_braid
+from ftik.errors import DiagramError, ResourceLimitError, SingularSeriesError, TruncationError
+from ftik.fintype import INVARIANTS
+from ftik.invariants import (
+    casson_invariant,
+    jones_exp_derivative,
+    jones_sublink_weight,
+    ohtsuki_lambda1,
+    ohtsuki_lambda2,
+    psi2_knot_invariant,
+)
+from ftik.series import format_laurent, format_rational
+from ftik.skein import conway, conway_a2, jones
 
 
 def run(capsys, *argv):
@@ -88,6 +99,42 @@ def test_compute_file_input_roundtrip(tmp_path, capsys):
     assert out.strip() == "39"
 
 
+# What each row of the invariant table must compute, written out against the
+# library functions: (function of the diagram, polynomial variable or None).
+LIBRARY = {
+    "casson": (lambda d: casson_invariant(SurgeryPresentation(d)), None),
+    "lambda1": (lambda d: ohtsuki_lambda1(SurgeryPresentation(d)), None),
+    "lambda2": (lambda d: ohtsuki_lambda2(SurgeryPresentation(d)), None),
+    "psi2": (psi2_knot_invariant, None),
+    "a2": (conway_a2, None),
+    "jones": (jones, "t"),
+    "conway": (conway, "z"),
+    "phi1": (lambda d: jones_sublink_weight(d, 1), None),
+    "phi2": (lambda d: jones_sublink_weight(d, 2), None),
+    "v2": (lambda d: jones_exp_derivative(d, 2), None),
+    "v3": (lambda d: jones_exp_derivative(d, 3), None),
+    "v4": (lambda d: jones_exp_derivative(d, 4), None),
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(INVARIANTS))
+@pytest.mark.parametrize("link", ["trefoil-right-plus1", "figure-eight-plus1",
+                                  "whitehead-plus1"])
+def test_compute_prints_the_library_value(capsys, invariant, link):
+    code, out, err = run(capsys, "compute", "--invariant", invariant,
+                         "--link", f"catalog:{link}", "--format", "json")
+    evaluate, variable = LIBRARY[invariant]
+    try:
+        raw = evaluate(catalog.get(link).diagram)
+    except DiagramError as exc:
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert str(exc) in err
+        return
+    value = format_rational(raw) if variable is None else format_laurent(raw, variable)
+    assert code == EXIT_OK
+    assert json.loads(out) == {"invariant": invariant, "link": link, "value": value}
+
+
 def test_malformed_file_exits_2_with_violations(tmp_path, capsys):
     trefoil = catalog.get("trefoil-right").diagram.to_json_dict("bad")
     docs = [{**trefoil, **fields} for fields in (
@@ -147,7 +194,7 @@ def test_resource_limit_exits_4(capsys, monkeypatch):
     def over_budget(d):
         raise ResourceLimitError("conway resolution exceeded 1 nodes")
 
-    monkeypatch.setattr(ftik.cli, "conway", over_budget)
+    monkeypatch.setattr(ftik.fintype, "conway", over_budget)
     code, _, err = run(capsys, "compute", "--invariant", "conway",
                        "--link", "catalog:trefoil-right")
     assert code == EXIT_RESOURCE_LIMIT == 4
@@ -200,11 +247,23 @@ def test_internal_truncation_error_exits_3(capsys, monkeypatch):
     def short_series(d):
         raise TruncationError(4, 3)
 
-    monkeypatch.setattr(ftik.cli, "conway", short_series)
+    monkeypatch.setattr(ftik.fintype, "conway", short_series)
     code, _, err = run(capsys, "compute", "--invariant", "conway",
                        "--link", "catalog:trefoil-right")
     assert code == EXIT_TRUNCATION == 3
-    assert "internal truncation error" in err
+    assert "internal error" in err
+
+
+def test_internal_singular_series_error_exits_3(capsys, monkeypatch):
+    # Only a bug can invert a series with zero constant term.
+    def singular(d):
+        raise SingularSeriesError("cannot invert a series with zero constant term")
+
+    monkeypatch.setattr(ftik.fintype, "conway", singular)
+    code, out, err = run(capsys, "compute", "--invariant", "conway",
+                         "--link", "catalog:trefoil-right")
+    assert (code, out) == (EXIT_TRUNCATION, "")
+    assert "internal error" in err and "malformed input" not in err
 
 
 def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
@@ -212,7 +271,7 @@ def test_internal_value_error_is_not_malformed_input(capsys, monkeypatch):
     def broken(d):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(ftik.cli, "conway", broken)
+    monkeypatch.setattr(ftik.fintype, "conway", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["compute", "--invariant", "conway", "--link", "catalog:trefoil-right"])
     assert capsys.readouterr().err == ""

@@ -11,6 +11,7 @@ from ftik.fintype import (
     CASSON,
     LAMBDA1,
     LAMBDA2,
+    INVARIANTS,
     InvariantFunction,
     difference_sum,
     order_check,
@@ -67,3 +68,13 @@ def test_order_check_detects_nonvanishing():
 def test_invariant_function_returns_fraction():
     value = LAMBDA1(catalog.presentation("trefoil-right-plus1"))
     assert isinstance(value, Fraction) and value == 6
+
+
+def test_surgery_rows_call_through_the_invariant_functions():
+    # A tracer rebinds LAMBDA2.evaluate; the table's row must see it.
+    original = LAMBDA2.evaluate
+    object.__setattr__(LAMBDA2, "evaluate", lambda sp: Fraction(7))
+    try:
+        assert INVARIANTS["lambda2"][0](catalog.get("trefoil-right-plus1").diagram) == 7
+    finally:
+        object.__setattr__(LAMBDA2, "evaluate", original)

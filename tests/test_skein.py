@@ -170,5 +170,19 @@ def test_conway_a2_values():
     assert conway_a2(split) == 0
 
 
+def test_conway_a2_reads_the_casson_sum_cache(monkeypatch):
+    # The surgery sum and conway_a2 share one a2 table, so after Casson on
+    # whitehead-plus1 the Whitehead link's a2 needs no Conway polynomial.
+    from ftik.invariants import casson_invariant
+
+    assert casson_invariant(catalog.presentation("whitehead-plus1")) == 1
+
+    def no_conway(d, node_budget=10**6):
+        raise AssertionError("conway recomputed")
+
+    monkeypatch.setattr(skein, "conway", no_conway)
+    assert conway_a2(catalog.get("whitehead").diagram) == 1
+
+
 def test_conway_a2_is_rational():
     assert isinstance(conway_a2(catalog.get("trefoil-right").diagram), Fraction)
