@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, and link-file
 validation."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -333,3 +334,19 @@ def test_catalog_json_roundtrips(capsys):
     for doc in docs:
         name, rebuilt = LinkDiagram.from_json_dict(doc)
         assert rebuilt.to_json_dict(name) == doc
+
+
+# sha256 over the exit code, stdout and stderr of every compute run below;
+# a change to any invariant value, format or error message changes it.
+COMPUTE_DIGEST = "830b63a042724b22ea4bfb6e063efe137aadca2d71098e45fb2d2366cbef2d6a"
+
+
+def test_compute_outputs_pinned(capsys):
+    digest = hashlib.sha256()
+    for invariant in INVARIANTS:
+        for name in catalog.names():
+            code, out, err = run(capsys, "compute", "--invariant", invariant,
+                                 "--link", f"catalog:{name}", "--format", "json",
+                                 "--self-check")
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == COMPUTE_DIGEST
