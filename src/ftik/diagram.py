@@ -105,13 +105,7 @@ class LinkDiagram:
         """Build a diagram from crossings with known over-strand directions."""
         cycles = _cycles(crossings, over_in)
         total = len(cycles) + unknotted_components
-        if framings is None:
-            framings = (0,) * total
-        framings = tuple(int(f) for f in framings)
-        if len(framings) != total:
-            raise DiagramError(
-                f"expected {total} framings, got {len(framings)}"
-            )
+        framings = (0,) * total if framings is None else _checked_framings(framings, total)
         component_arcs = tuple(cycles) + ((),) * unknotted_components
         return cls(crossings, tuple(over_in), component_arcs, framings)
 
@@ -339,6 +333,17 @@ def _is_int(value) -> bool:
     """An int from a JSON document; ``true``/``false`` load as bools, which
     Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked_framings(framings: Sequence[int], total: int) -> tuple[int, ...]:
+    """The framings as a tuple; anything but ``total`` ints (bools, floats
+    and strings included) raises ``DiagramError``."""
+    framings = tuple(framings)
+    if not all(_is_int(f) for f in framings):
+        raise DiagramError(f"framings must be integers, got {framings!r}")
+    if len(framings) != total:
+        raise DiagramError(f"expected {total} framings, got {len(framings)}")
+    return framings
 
 
 def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
@@ -685,8 +690,8 @@ def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
     """Closure of a braid given as (position, sign) generator pairs.
 
     Position p in 0..strands-2 crosses strands p and p+1; sign +1 means the
-    left strand passes over.  Strands untouched by the word close into
-    unknot markers.
+    left strand passes over and -1 the right one; any other sign raises
+    ``ValueError``.  Strands untouched by the word close into unknot markers.
     """
     fresh = count(1).__next__
     start = [fresh() for _ in range(strands)]
@@ -696,6 +701,8 @@ def closed_braid(strands: int, word: Sequence[tuple[int, int]]) -> LinkDiagram:
     for p, sign in word:
         if not 0 <= p < strands - 1:
             raise ValueError(f"braid position {p} out of range")
+        if sign not in (1, -1):
+            raise ValueError(f"braid sign {sign} is not +1 or -1")
         _braid_crossing(cur, p, sign, fresh, crossings, over_in)
     rename = {}
     untouched = 0
@@ -752,9 +759,5 @@ class SurgeryPresentation:
 
 
 def with_framings(d: LinkDiagram, framings: Sequence[int]) -> LinkDiagram:
-    framings = tuple(int(f) for f in framings)
-    if len(framings) != d.components:
-        raise DiagramError(
-            f"expected {d.components} framings, got {len(framings)}"
-        )
+    framings = _checked_framings(framings, d.components)
     return LinkDiagram(d.crossings, d.over_in, d.component_arcs, framings)

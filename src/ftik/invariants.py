@@ -166,20 +166,11 @@ def _lambda2_sum(d: LinkDiagram) -> Fraction:
         for counts in product((0, 1, 2), repeat=n):
             if not any(counts):
                 continue
-            circles: list[int] = []
-            f = 1
-            s2 = 0
-            for comp, k in enumerate(counts):
-                if k >= 1:
-                    circles.append(2 * comp)
-                    f *= d.framings[comp]
-                if k == 2:
-                    circles.append(2 * comp + 1)
-                    f *= d.framings[comp]
-                    s2 += 1
+            circles = [2 * comp + j for comp, k in enumerate(counts) for j in range(k)]
+            f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
             phi2 = jones_sublink_weight(sublink(cable, circles), 2)
             if phi2 != 0:
-                total += phi2 * f * Fraction(1, 2**s2)
+                total += phi2 * f * Fraction(1, 2 ** counts.count(2))
     return total
 
 

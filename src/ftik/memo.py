@@ -8,8 +8,9 @@ function stays observably pure.  Only returned values are stored: a computation 
 raises leaves no entry behind.
 
 Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
-alternating sublink sum, per split piece), ``a2``, ``phi`` (sublink
-weights), ``casson`` and ``lambda2``.
+alternating sublink sum, per split piece), ``conway`` (read by ``a2``
+and ``psi2`` alike), ``phi`` (sublink weights), ``casson`` and
+``lambda2``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Callable, Hashable, TypeVar
 T = TypeVar("T")
 
 _TABLES: dict[str, dict] = {
-    name: {} for name in ("bracket", "jones", "alt", "a2", "phi", "casson", "lambda2")
+    name: {} for name in ("bracket", "jones", "alt", "conway", "phi", "casson", "lambda2")
 }
 
 

@@ -324,23 +324,17 @@ class TruncSeries:
         return result
 
 
-def half_power(halves: int, order: int) -> TruncSeries:
-    """Binomial expansion of (1 + u)^(halves/2) to the given order."""
-    k = Fraction(halves, 2)
-    coeffs = [Fraction(1)]
-    binom = Fraction(1)
-    for n in range(1, order + 1):
-        binom = binom * (k - (n - 1)) / n
-        coeffs.append(binom)
-    return TruncSeries.from_coeffs(coeffs, order)
-
-
 def laurent_to_series(p: HalfLaurent, order: int) -> TruncSeries:
-    """Expand a half-exponent Laurent polynomial about t = 1 (u = t - 1)."""
-    out = TruncSeries.zero(order)
+    """Expand a half-exponent Laurent polynomial about t = 1 (u = t - 1):
+    a term c t^(h/2) adds c C(h/2, k) to the u^k coefficient."""
+    coeffs = [Fraction(0)] * (order + 1)
     for halves, c in p.terms:
-        out = out + half_power(halves, order).scale(c)
-    return out
+        binom = Fraction(c)
+        coeffs[0] += binom
+        for k in range(1, order + 1):
+            binom = binom * (halves - 2 * k + 2) / (2 * k)
+            coeffs[k] += binom
+    return TruncSeries(order, tuple(coeffs))
 
 
 def compose_exp_minus_one(s: TruncSeries) -> TruncSeries:

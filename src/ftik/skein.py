@@ -16,9 +16,10 @@ i.e. the classical polynomial with t replaced by t^{-1} and an overall
 sign (-1)^(#components - 1).  The Conway polynomial is computed by a skein
 resolution tree that unknots diagrams towards descending form.
 
-Bracket pieces, Jones values and a2 values are memoized in ``ftik.memo``
-by a relabelling-invariant diagram key, so every function here remains
-observably pure.
+Bracket pieces, Jones values and Conway polynomials are memoized in
+``ftik.memo`` by a relabelling-invariant diagram key, so every function
+here remains observably pure; a2 and psi2's a4 read one memoized Conway
+polynomial.
 """
 
 from __future__ import annotations
@@ -269,12 +270,16 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
     """Conway polynomial in z via the resolution tree for
     nabla(L+) - nabla(L-) = z nabla(L0).
 
-    Base cases: a descending knot diagram gives 1, any split diagram gives
-    0, and the empty diagram gives 0 by convention.  A tree with more than
-    ``node_budget`` nodes, or deeper than Python's recursion limit, raises
-    ``ResourceLimitError``.
+    Base cases: a descending knot diagram gives 1, and any diagram without
+    exactly one split piece (split or empty) gives 0.  A tree with more
+    than ``node_budget`` nodes, or deeper than Python's recursion limit,
+    raises ``ResourceLimitError``.  The polynomial is memoized per
+    diagram, so a memo hit returns without walking, whatever the budget.
     """
-    z = IntLaurent.monomial(1)
+    return memo.lookup("conway", d.canonical_key(), _conway, d, node_budget)
+
+
+def _conway(d: LinkDiagram, node_budget: int) -> IntLaurent:
     nodes = 0
 
     def rec(d: LinkDiagram) -> IntLaurent:
@@ -284,21 +289,15 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
             raise ResourceLimitError(
                 f"conway resolution exceeded {node_budget} nodes"
             )
-        if d.components == 0:
+        if len(d.split_pieces()) != 1:
             return IntLaurent.zero()
-        if len(d.split_pieces()) > 1:
-            return IntLaurent.zero()
-        if not d.crossings:
-            return IntLaurent.one()
         bad = _first_bad_crossing(d)
         if bad is None:
             return IntLaurent.one() if d.components == 1 else IntLaurent.zero()
         i, sign = bad
         switched = rec(switch_crossing(d, i))
-        smoothed = rec(smooth_crossing(d, i))
-        if sign > 0:
-            return switched + z * smoothed
-        return switched - z * smoothed
+        smoothed = rec(smooth_crossing(d, i)).shift(1)
+        return switched + smoothed if sign > 0 else switched - smoothed
 
     try:
         return rec(d)
@@ -320,13 +319,7 @@ def conway_a2(d: LinkDiagram) -> Fraction:
     component count, and what makes the Casson surgery sum agree across
     different presentations of the same manifold (e.g. surgery on the
     Whitehead link versus the equivalent twist-knot surgeries).  The empty
-    link gets 0.
+    link gets 0.  The coefficient is read from the memoized ``conway``.
     """
-    return memo.lookup("a2", d.canonical_key(), _conway_a2, d)
-
-
-def _conway_a2(d: LinkDiagram) -> Fraction:
-    if d.components == 0:
-        return Fraction(0)
     sign = -1 if d.components % 2 == 0 else 1
     return Fraction(sign * conway(d).coeff(d.components + 1))

@@ -66,6 +66,29 @@ def test_closed_braid_components():
     assert d.unknotted_components == 1
 
 
+def test_closed_braid_rejects_signs_other_than_plus_minus_one():
+    # A sign of 0 used to become a negative crossing silently.
+    for sign in (0, 2, -3):
+        with pytest.raises(ValueError, match="sign"):
+            closed_braid(2, [(0, sign)] * 3)
+    with pytest.raises(ValueError, match="position"):
+        closed_braid(2, [(1, 1)])
+
+
+def test_framings_must_be_integers():
+    # int() used to turn 1.7 into framing 1, True into 1 and "2" into 2.
+    tref = catalog.get("trefoil-right").diagram
+    for bad in ((1.7,), (True,), ("2",), (None,)):
+        with pytest.raises(DiagramError, match="integers"):
+            with_framings(tref, bad)
+        with pytest.raises(DiagramError, match="integers"):
+            LinkDiagram.assemble(tref.crossings, tref.over_in, bad)
+    with pytest.raises(DiagramError, match="expected 1 framings"):
+        with_framings(tref, (1, 1))
+    assert with_framings(tref, [1]).framings == (1,)
+    assert LinkDiagram.assemble(tref.crossings, tref.over_in, [-1]).framings == (-1,)
+
+
 def test_linking_matrix_hopf():
     hopf = catalog.get("hopf-positive").diagram
     lm = hopf.linking_matrix()

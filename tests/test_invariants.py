@@ -119,6 +119,42 @@ def test_integral_alternating_sum_matches_naive_oracle(d):
         assert psi2_knot_invariant(knot) == ohtsuki_lambda2(plus_one)
 
 
+# Knots with at most 6 crossings, +-1-framed, and +-1-framed unknots with
+# zero or one crossing.
+framed_knots = st.tuples(
+    braid_closures.filter(lambda d: d.components == 1 and len(d.crossings) <= 6),
+    st.sampled_from((1, -1)),
+)
+framed_unknots = st.tuples(
+    st.sampled_from((catalog.get("unknot").diagram,
+                     closed_braid(2, [(0, 1)]), closed_braid(2, [(0, -1)]))),
+    st.sampled_from((1, -1)),
+)
+
+
+def union(*framed):
+    d = framed[0][0]
+    for other, _f in framed[1:]:
+        d = disjoint_union(d, other)
+    return SurgeryPresentation(with_framings(d, [f for _d, f in framed]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(framed_knots, framed_knots, framed_unknots)
+def test_connected_sum_rules(k1, k2, unknot):
+    # A split union presents the connected sum: Casson adds, lambda2 adds
+    # with the cross term lambda1 lambda1, and a +-1-framed unknot is S^3.
+    m1, m2 = union(k1), union(k2)
+    both = union(k1, k2)
+    assert casson_invariant(both) == casson_invariant(m1) + casson_invariant(m2)
+    assert ohtsuki_lambda2(both) == (
+        ohtsuki_lambda2(m1) + ohtsuki_lambda2(m2)
+        + ohtsuki_lambda1(m1) * ohtsuki_lambda1(m2))
+    with_unknot = union(k1, unknot)
+    assert casson_invariant(with_unknot) == casson_invariant(m1)
+    assert ohtsuki_lambda2(with_unknot) == ohtsuki_lambda2(m1)
+
+
 def test_lambda2_anchor_values():
     assert ohtsuki_lambda2(sp("trefoil-right-plus1")) == 39
     assert ohtsuki_lambda2(sp("trefoil-left-plus1")) == 63

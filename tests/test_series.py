@@ -12,7 +12,6 @@ from ftik.series import (
     compose_exp_minus_one,
     format_laurent,
     format_rational,
-    half_power,
     laurent_to_series,
 )
 
@@ -96,7 +95,7 @@ def test_trunc_series_coeff_out_of_range():
 
 def test_half_power_binomial():
     # (1 + u)^(1/2) = 1 + u/2 - u^2/8 + ...
-    s = half_power(1, 4)
+    s = laurent_to_series(HalfLaurent.monomial(1), 4)
     assert s.coeff(0) == 1
     assert s.coeff(1) == Fraction(1, 2)
     assert s.coeff(2) == Fraction(-1, 8)

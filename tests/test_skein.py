@@ -171,17 +171,37 @@ def test_conway_a2_values():
 
 
 def test_conway_a2_reads_the_casson_sum_cache(monkeypatch):
-    # The surgery sum and conway_a2 share one a2 table, so after Casson on
-    # whitehead-plus1 the Whitehead link's a2 needs no Conway polynomial.
+    # The surgery sum and conway_a2 share one conway table, so after Casson
+    # on whitehead-plus1 the Whitehead link's a2 walks no resolution tree.
     from ftik.invariants import casson_invariant
 
     assert casson_invariant(catalog.presentation("whitehead-plus1")) == 1
 
-    def no_conway(d, node_budget=10**6):
+    def no_conway(d, node_budget):
         raise AssertionError("conway recomputed")
 
-    monkeypatch.setattr(skein, "conway", no_conway)
+    monkeypatch.setattr(skein, "_conway", no_conway)
     assert conway_a2(catalog.get("whitehead").diagram) == 1
+
+
+def test_psi2_and_a2_share_one_conway_walk(monkeypatch):
+    # psi2 reads a4 and conway_a2 reads a2 from one memoized polynomial, so
+    # a2 after psi2 on the same knot switches no crossing.
+    from ftik.invariants import psi2_knot_invariant
+
+    switches = []
+
+    def counted(d, i):
+        switches.append(i)
+        return switch_crossing(d, i)
+
+    monkeypatch.setattr(skein, "switch_crossing", counted)
+    d = catalog.get("figure-eight").diagram
+    assert psi2_knot_invariant(d) == 69
+    walked = len(switches)
+    assert walked > 0
+    assert conway_a2(d) == -1
+    assert len(switches) == walked
 
 
 def test_conway_a2_is_rational():
