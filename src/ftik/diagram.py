@@ -3,8 +3,8 @@
 A crossing is a 4-tuple of arc identifiers listed counterclockwise starting
 at the incoming under-arc, the dominant convention in published link tables.
 Orientation is carried by an explicit record of which over-slot (1 or 3) the
-over-strand enters; for table codes this is inferred from the under-passage
-directions.  Components that have no crossings at all cannot be expressed in
+over-strand enters; for table codes this is inferred by walking each strand
+forward from its under-passages.  Components that have no crossings at all cannot be expressed in
 PD form and are kept as explicit unknot markers.
 
 Diagrams are immutable values and every operation here is a pure function.
@@ -176,10 +176,7 @@ class LinkDiagram:
         crossings has 2V edges and so bounds exactly V + 2 faces.  A PD code
         with virtual crossings traces fewer.  Faces are the cycles of the
         dart map (c, s) -> (other end of the arc at slot s of c, slot + 1)."""
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for ci, cr in enumerate(self.crossings):
-            for slot, arc in enumerate(cr):
-                ends.setdefault(arc, []).append((ci, slot))
+        other_end = _other_end(self.crossings)
         out = []
         for comps, indices in self.split_pieces():
             seen: set[tuple[int, int]] = set()
@@ -190,8 +187,7 @@ class LinkDiagram:
                 faces += 1
                 while dart not in seen:
                     seen.add(dart)
-                    first, second = ends[self.crossings[dart[0]][dart[1]]]
-                    ci, slot = second if first == dart else first
+                    ci, slot = other_end[dart]
                     dart = (ci, (slot + 1) % 4)
             if indices and faces != len(indices) + 2:
                 out.append(
@@ -347,7 +343,11 @@ def _checked_framings(framings: Sequence[int], total: int) -> tuple[int, ...]:
 
 
 def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
-    """Structural checks on raw PD tuples; returns human-readable violations."""
+    """Structural checks on raw PD tuples: four positive integer arcs per
+    crossing, each arc at exactly two slots.  Returns human-readable
+    violations.  Orientation is not checked here: ``from_pd`` infers it with
+    ``_infer_over_in`` and ``validate`` traces it with ``_cycles``, and each
+    rejects a code that has none."""
     out: list[str] = []
     counts: dict[int, int] = {}
     for i, c in enumerate(crossings):
@@ -362,63 +362,56 @@ def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
     for arc, n in sorted(counts.items()):
         if n != 2:
             out.append(f"arc multiplicity: arc {arc} appears {n} times, expected 2")
-    if out:
-        return out
-    try:
-        _infer_over_in(tuple(tuple(c) for c in crossings))
-    except DiagramError as exc:
-        out.extend(exc.violations)
+    return out
+
+
+def _other_end(crossings: tuple[Crossing, ...]) -> dict[tuple[int, int], tuple[int, int]]:
+    """Map each (crossing, slot) to the (crossing, slot) at the other end of
+    the arc found there.  Every arc must appear exactly twice."""
+    first: dict[int, tuple[int, int]] = {}
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for ci, cr in enumerate(crossings):
+        for slot, arc in enumerate(cr):
+            end = first.pop(arc, None)
+            if end is None:
+                first[arc] = (ci, slot)
+            else:
+                out[end], out[ci, slot] = (ci, slot), end
     return out
 
 
 def _infer_over_in(crossings: tuple[Crossing, ...]) -> tuple[int, ...]:
     """Infer, per crossing, which over-slot the over-strand enters.
 
-    The under-passages fix the orientation of most arcs; the rest is
-    propagated through the constraint that each arc is incoming at exactly
-    one of its two appearances.  Components that only ever pass over are
-    orientation-ambiguous and get a fixed arbitrary choice, which cannot
-    affect any invariant of an algebraically split link.
+    Every under-passage enters at slot 0.  A strand is walked forward from
+    each slot 0: it leaves a crossing at the slot opposite its entry and
+    enters the next at the other end of that arc, so it meets each
+    over-passage at its entry slot.  A component that only ever passes over
+    is walked from slot 3 of its lowest crossing, a fixed arbitrary choice
+    that cannot affect any invariant of an algebraically split link.  A
+    walk that enters a crossing at slot 2, or at both over-slots, means the
+    code has no consistent orientation and raises ``DiagramError``.
     """
-    appearances: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(crossings):
-        for slot, arc in enumerate(cr):
-            appearances.setdefault(arc, []).append((ci, slot))
-    incoming: dict[tuple[int, int], bool] = {}
+    other_end = _other_end(crossings)
+    over_in = [0] * len(crossings)
+    entered: set[tuple[int, int]] = set()
 
-    def set_status(app: tuple[int, int], value: bool, queue: list) -> None:
-        if app in incoming:
-            if incoming[app] != value:
-                raise DiagramError(
-                    [f"crossing {app[0]}: inconsistent strand orientation"]
-                )
-            return
-        incoming[app] = value
-        queue.append(app)
+    def walk(dart: tuple[int, int]) -> None:
+        while dart not in entered:
+            ci, slot = dart
+            if slot == 2 or over_in[ci] == 4 - slot:
+                raise DiagramError([f"crossing {ci}: inconsistent strand orientation"])
+            entered.add(dart)
+            if slot:
+                over_in[ci] = slot
+            dart = other_end[ci, (slot + 2) % 4]
 
-    queue: list[tuple[int, int]] = []
-    for ci, cr in enumerate(crossings):
-        set_status((ci, 0), True, queue)
-        set_status((ci, 2), False, queue)
-    while True:
-        while queue:
-            ci, slot = queue.pop()
-            value = incoming[(ci, slot)]
-            arc = crossings[ci][slot]
-            for other in appearances[arc]:
-                if other != (ci, slot):
-                    set_status(other, not value, queue)
-            if slot in (1, 3):
-                mate = 3 if slot == 1 else 1
-                set_status((ci, mate), not value, queue)
-        unresolved = [
-            ci for ci in range(len(crossings)) if (ci, 1) not in incoming
-        ]
-        if not unresolved:
-            break
-        # Orientation-ambiguous strand: fix slot 3 as the entry point.
-        set_status((unresolved[0], 3), True, queue)
-    return tuple(1 if incoming[(ci, 1)] else 3 for ci in range(len(crossings)))
+    for ci in range(len(crossings)):
+        walk((ci, 0))
+    for ci in range(len(crossings)):
+        if not over_in[ci]:
+            walk((ci, 3))
+    return tuple(over_in)
 
 
 def _successors(crossings: tuple[Crossing, ...], over_in: tuple[int, ...]) -> dict[int, int]:
@@ -528,7 +521,11 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     Crossings between two kept strands are preserved; where a kept strand
     passes through a crossing with a removed strand, its two arcs are fused
     and the crossing disappears.  Component indices keep their original
-    relative order and framings are restricted accordingly.
+    relative order and framings are restricted accordingly.  Each successor
+    cycle of the kept crossings goes to the component of its first arc,
+    since a fused arc is named by an arc of its own component; a kept
+    component that no kept crossing reads, a marker or a loop whose
+    crossings all vanished, gets ``()``.
     """
     keep = frozenset(keep)
     bad = keep - set(range(d.components))
@@ -549,26 +546,11 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
             uf.join(b, e)
     crossings = tuple(tuple(uf.find(x) for x in cr) for cr, _oi in kept)
     over_in = tuple(oi for _cr, oi in kept)
-    used = {x for cr in crossings for x in cr}
-
     kept_comps = sorted(keep)
-    component_arcs: list[tuple[int, ...]] = []
-    for comp in kept_comps:
-        # Fused arcs are runs along the component, possibly across its start.
-        arcs: list[int] = []
-        for a in d.component_arcs[comp]:
-            a = uf.find(a)
-            if not arcs or arcs[-1] != a:
-                arcs.append(a)
-        if len(arcs) > 1 and arcs[-1] == arcs[0]:
-            arcs.pop()
-        if arcs and arcs[0] in used:
-            start = arcs.index(min(arcs))
-            component_arcs.append(tuple(arcs[start:] + arcs[:start]))
-        else:
-            # A marker, or every crossing on this component vanished and
-            # it is now a bare loop.
-            component_arcs.append(())
+    index = {comp: i for i, comp in enumerate(kept_comps)}
+    component_arcs: list[tuple[int, ...]] = [()] * len(kept_comps)
+    for cycle in _cycles(crossings, over_in):
+        component_arcs[index[comp_of[cycle[0]]]] = cycle
     framings = tuple(d.framings[comp] for comp in kept_comps)
     return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
 
@@ -730,7 +712,7 @@ class SurgeryPresentation:
         problems = []
         d = self.diagram
         for i, f in enumerate(d.framings):
-            if f not in (1, -1):
+            if not _is_int(f) or f not in (1, -1):
                 problems.append(f"component {i} has framing {f}, expected +1 or -1")
         if not problems:
             lk = d.linking_matrix()

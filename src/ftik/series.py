@@ -191,12 +191,12 @@ def format_laurent(p: _Laurent, variable: str) -> str:
     halves = isinstance(p, HalfLaurent)
     parts: list[str] = []
     for e, c in p.terms:
-        exp_txt = _format_exponent_halves(e) if halves else str(e)
-        if (halves and e == 0) or (not halves and e == 0):
-            body = format_rational(abs(c))
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
         else:
-            mag = abs(c)
-            coeff_txt = "" if mag == 1 else format_rational(mag) + "*"
+            exp_txt = _format_exponent_halves(e) if halves else str(e)
+            coeff_txt = "" if mag == 1 else f"{mag}*"
             body = f"{coeff_txt}{variable}^{exp_txt}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import memo
-from .diagram import LinkDiagram, smooth_crossing, switch_crossing
+from .diagram import LinkDiagram, _UnionFind, smooth_crossing, switch_crossing
 from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
@@ -171,34 +171,22 @@ def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
     if d.components == 0:
         raise ValueError("empty diagram")
     n = len(d.crossings)
+    arcs = {x for cr in d.crossings for x in cr}
     # Number of states per (A-exponent, loop count), summed up at the end.
     tally: dict[tuple[int, int], int] = {}
     for bits in range(1 << n):
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        arcs: set[int] = set()
+        uf = _UnionFind()
         exponent = 0
         for i, (a, b, c, e) in enumerate(d.crossings):
-            arcs.update((a, b, c, e))
             if bits >> i & 1:
-                joins = ((a, b), (c, e))
+                uf.join(a, b)
+                uf.join(c, e)
                 exponent += 1
             else:
-                joins = ((a, e), (b, c))
+                uf.join(a, e)
+                uf.join(b, c)
                 exponent -= 1
-            for x, y in joins:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[ry] = rx
-        loops = len({find(x) for x in arcs}) if arcs else 0
-        loops += d.unknotted_components
+        loops = len({uf.find(x) for x in arcs}) + d.unknotted_components
         tally[exponent, loops] = tally.get((exponent, loops), 0) + 1
     total = IntLaurent.zero()
     for (exponent, loops), count in tally.items():

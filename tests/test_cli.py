@@ -18,7 +18,7 @@ from ftik.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from ftik.diagram import SurgeryPresentation, closed_braid
+from ftik.diagram import LinkDiagram, SurgeryPresentation, closed_braid
 from ftik.errors import DiagramError, ResourceLimitError, SingularSeriesError, TruncationError
 from ftik.fintype import INVARIANTS
 from ftik.invariants import (
@@ -136,10 +136,14 @@ def test_compute_prints_the_library_value(capsys, invariant, link):
     assert json.loads(out) == {"invariant": invariant, "link": link, "value": value}
 
 
+UNORIENTABLE_PD = [[1, 2, 3, 4], [1, 4, 3, 2]]  # arc 1 enters under twice
+
+
 def test_malformed_file_exits_2_with_violations(tmp_path, capsys):
     trefoil = catalog.get("trefoil-right").diagram.to_json_dict("bad")
     docs = [{**trefoil, **fields} for fields in (
         {"crossings": [[1, 2, 3, 4], [1, 2, 3, 5]]},
+        {"crossings": UNORIENTABLE_PD},
         {"crossings": [5]},
         {"crossings": [[True, 4, 2, 5], [3, 6, 4, True], [5, 2, 6, 3]]},
         # A string id must not reach the sort of the arc counts.
@@ -160,6 +164,13 @@ def test_malformed_file_exits_2_with_violations(tmp_path, capsys):
         assert (code, out) == (EXIT_BAD_INPUT, ""), doc
         assert "malformed input" in err
         assert isinstance(doc, dict) or "must be a JSON object" in err
+        if isinstance(doc, dict) and doc["crossings"] == UNORIENTABLE_PD:
+            assert "inconsistent strand orientation" in err
+    # Built directly, the code fails validate() whatever over_in it gets.
+    crossings = tuple(tuple(c) for c in UNORIENTABLE_PD)
+    for over_in in ((1, 1), (1, 3), (3, 1), (3, 3)):
+        d = LinkDiagram(crossings, over_in, ((1, 3), (2, 4)), (0, 0))
+        assert d.validate() != [], over_in
 
 
 def test_missing_file_exits_2(capsys):
@@ -330,10 +341,11 @@ def test_catalog_json_roundtrips(capsys):
     assert code == EXIT_OK
     docs = json.loads(out)
     assert {d["name"] for d in docs} == set(catalog.names())
-    from ftik.diagram import LinkDiagram
     for doc in docs:
         name, rebuilt = LinkDiagram.from_json_dict(doc)
         assert rebuilt.to_json_dict(name) == doc
+        # The JSON carries no orientation: from_pd must infer the same one.
+        assert rebuilt == catalog.get(name).diagram, name
 
 
 # sha256 over the exit code, stdout and stderr of every compute run below;

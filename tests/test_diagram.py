@@ -264,6 +264,22 @@ def test_every_operation_keeps_component_arcs_the_successor_cycles(d):
         assert variant.validate() == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(braid_closures, st.booleans())
+def test_from_pd_infers_the_braid_orientation(d, mirrored):
+    # Walking from the under-passages recovers the braid's own orientation
+    # wherever a component passes under somewhere; a component that only
+    # passes over gets a fixed one, which must still be consistent.
+    d = mirror(d) if mirrored else d
+    comp_of = d.arc_to_component
+    passes_under = {comp_of[cr[0]] for cr in d.crossings}
+    rebuilt = LinkDiagram.from_pd(d.crossings, d.framings, d.unknotted_components)
+    if all(c in passes_under for c, arcs in enumerate(d.component_arcs) if arcs):
+        assert rebuilt == d
+    else:
+        assert rebuilt.validate() == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(braid_closures)
 def test_parallel_copy_labels(d):

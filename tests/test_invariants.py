@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ftik import catalog, memo
 from ftik.diagram import (
+    LinkDiagram,
     SurgeryPresentation,
     closed_braid,
     disjoint_union,
@@ -27,6 +28,7 @@ from ftik.invariants import (
     sublink_alternating_series,
     sublink_alternating_series_naive,
 )
+from ftik.errors import DiagramError
 from ftik.skein import conway_a2
 from test_skein import braid_closures
 
@@ -46,6 +48,19 @@ def test_casson_catalog_values():
     assert casson_invariant(sp("trefoil-right-minus1")) == -1
     assert casson_invariant(sp("figure-eight-plus1")) == -1
     assert casson_invariant(sp("trefoils-two-plus1")) == 2
+
+
+def test_surgery_presentation_rejects_non_integer_framings():
+    # A float framing hashes like the int in the framed memo key, so a
+    # lambda2 computed on it would be served as the catalog value.
+    d = catalog.get("trefoil-right").diagram
+    for f in (1.0, True, Fraction(1)):
+        with pytest.raises(DiagramError):
+            ohtsuki_lambda2(SurgeryPresentation(
+                LinkDiagram(d.crossings, d.over_in, d.component_arcs, (f,))
+            ))
+    value = ohtsuki_lambda2(sp("trefoil-right-plus1"))
+    assert (type(value), value) == (Fraction, 39)
 
 
 def test_casson_additive_on_split_unions():
