@@ -1,22 +1,29 @@
 """Surgery-formula invariants of homology spheres presented by +-1-framed
 algebraically split links.
 
-The Casson invariant is computed from Hoste's sublink formula
-
-    lambda_C(S^3_L) = sum over sublinks L' of f(L') a2(L'),
-
-with f the product of framings and a2 the Conway coefficient.  The order-6
-invariant lambda2 comes from the Jones-side surgery formula
+The order-6 invariant lambda2 comes from the Jones-side surgery formula
 
     lambda2(S^3_L) = sum_{L' in L}   phi_1(L') f(L') #L'/2
                    + sum_{L' in L^2} phi_2(L') f(L') / 2^(s2(L')),
 
-where L^2 is the 0-framed 2-parallel, the inner weights phi_i are scaled
-derivatives at t = 1 of the alternating sublink sum of the normalized Jones
-polynomial X = V / (t^{1/2} + t^{-1/2})^(#L - 1), and s2 counts components
-taken with both copies.  The induced knot invariant psi2 evaluates lambda2
-on +1-surgery and has a closed form in derivatives of V(e^h) at h = 0
-together with the z^4 Conway coefficient.
+where f is the product of framings, L^2 is the 0-framed 2-parallel, the
+inner weights phi_i are scaled derivatives at t = 1 of the alternating
+sublink sum of the normalized Jones polynomial
+X = V / (t^{1/2} + t^{-1/2})^(#L - 1), and s2 counts components taken with
+both copies.  The Casson invariant reads the same phi_1 weights:
+
+    lambda_C(S^3_L) = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
+
+This is exact on algebraically split links.  Hoste's formula gives
+lambda_C = sum f a2, the Jones-side formula gives lambda_1 = sum f phi_1,
+and lambda_1 = 6 lambda_C.  So sum_S eps^S (phi_1 - 6 a2)(L_S) = 0 for
+every framing vector eps in {+-1}^#L; the characters eps -> eps^S are
+linearly independent, so phi_1 = 6 a2 on every sublink of an algebraically
+split link (each of which is algebraically split again).  The Conway
+resolution tree behind a2 is therefore off every surgery sum; it stays the
+second, independent engine for the phi_1 = 6 a2 check.  The induced knot
+invariant psi2 evaluates lambda2 on +1-surgery and has a closed form in
+derivatives of V(e^h) at h = 0 together with the z^4 Conway coefficient.
 
 The alternating sum is taken on integral Jones polynomials: multiplied by
 (t^{1/2} + t^{-1/2})^(#L - 1) it is a Laurent polynomial P(L) with integer
@@ -36,7 +43,7 @@ from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
 from .errors import DiagramError
 from .series import HalfLaurent, TruncSeries, compose_exp_minus_one, laurent_to_series
-from .skein import HALF_SUM, conway, conway_a2, jones, jones_series
+from .skein import HALF_SUM, conway, jones, jones_series
 
 clear_caches = memo.clear
 
@@ -123,8 +130,13 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
-    """Hoste's surgery formula; the empty sublink contributes a2 = 0."""
-    return memo.lookup("casson", sp.canonical_key(), _framed_sublink_sum, sp.diagram, conway_a2)
+    """lambda_C = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
+
+    The phi table is the one lambda2's first sum reads, so either sum
+    leaves the other only the framings to apply.
+    """
+    return memo.lookup("casson", sp.canonical_key(), _framed_sublink_sum, sp.diagram,
+                       lambda sub: jones_sublink_weight(sub, 1) / 6)
 
 
 def _framed_sublink_sum(d: LinkDiagram, weight: Callable[[LinkDiagram], Fraction]) -> Fraction:

@@ -294,7 +294,7 @@ def _conway(d: LinkDiagram, node_budget: int) -> IntLaurent:
 
 
 def conway_a2(d: LinkDiagram) -> Fraction:
-    """The a2 invariant feeding the Casson surgery formula:
+    """The a2 invariant of Hoste's Casson surgery formula:
 
         a2(L) = (-1)^(#L + 1) * [z^(#L + 1)] nabla(L),
 
@@ -308,6 +308,8 @@ def conway_a2(d: LinkDiagram) -> Fraction:
     different presentations of the same manifold (e.g. surgery on the
     Whitehead link versus the equivalent twist-knot surgeries).  The empty
     link gets 0.  The coefficient is read from the memoized ``conway``.
+    ``casson_invariant`` sums phi_1 / 6 instead, so a2 serves the ``a2``
+    row and the phi_1 = 6 a2 check, not the surgery sums.
     """
     sign = -1 if d.components % 2 == 0 else 1
     return Fraction(sign * conway(d).coeff(d.components + 1))

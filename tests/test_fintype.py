@@ -16,6 +16,7 @@ from ftik.fintype import (
     difference_sum,
     order_check,
 )
+from oracles import chain
 
 
 def test_difference_sum_casson_vanishes_on_four_components():
@@ -27,6 +28,14 @@ def test_difference_sum_casson_vanishes_on_four_components():
 def test_difference_sum_casson_nonzero_on_borromean():
     sp = catalog.presentation("borromean-plus1")
     assert difference_sum(CASSON, sp) != 0
+
+
+def test_casson_order_exactly_three_on_chains():
+    # Chains are ASLs that are not split, so vanishing is not automatic.
+    assert difference_sum(CASSON, chain(3)) == -1
+    for n in range(4, 7):
+        assert len(chain(n).diagram.split_pieces()) == 1
+        assert difference_sum(CASSON, chain(n)) == 0, n
 
 
 def test_difference_sum_lambda2_vanishes_on_seven_split():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftik import catalog, memo
+from ftik import catalog, memo, skein
 from ftik.diagram import (
     LinkDiagram,
     SurgeryPresentation,
@@ -30,6 +30,7 @@ from ftik.invariants import (
 )
 from ftik.errors import DiagramError
 from ftik.skein import conway_a2
+from oracles import chain, hoste_casson, is_algebraically_split
 from test_skein import braid_closures
 
 
@@ -48,6 +49,93 @@ def test_casson_catalog_values():
     assert casson_invariant(sp("trefoil-right-minus1")) == -1
     assert casson_invariant(sp("figure-eight-plus1")) == -1
     assert casson_invariant(sp("trefoils-two-plus1")) == 2
+
+
+def test_casson_on_chains_and_a_torus_knot():
+    for n in range(3, 7):
+        assert casson_invariant(chain(n)) == n - 2, n
+    # (p^2 - 1)(q^2 - 1) / 24 for +1-surgery on T(2, 13).
+    t_2_13 = with_framings(closed_braid(2, [(0, 1)] * 13), (1,))
+    assert casson_invariant(SurgeryPresentation(t_2_13)) == 21
+
+
+def test_surgery_sums_never_walk_the_conway_tree(monkeypatch):
+    def no_conway(d, node_budget):
+        raise AssertionError("conway tree walked")
+
+    monkeypatch.setattr(skein, "_conway", no_conway)
+    for entry in catalog.asl_entries():
+        p = SurgeryPresentation(entry.diagram)
+        casson_invariant(p)
+        ohtsuki_lambda1(p)
+        ohtsuki_lambda2(p)
+    for n in range(3, 7):
+        casson_invariant(chain(n))
+
+
+def test_casson_matches_hoste_oracle():
+    presentations = [SurgeryPresentation(e.diagram) for e in catalog.asl_entries()]
+    for p in presentations + [chain(3), chain(4)]:
+        fast = casson_invariant(p)
+        # The oracle walks its own Conway trees on a cold memo.
+        memo.clear()
+        assert fast == hoste_casson(p)
+
+
+# Pure 3-braid generators A_(i,j) as braid words.
+PURE_GENERATORS = {
+    (0, 1): [(0, 1), (0, 1)],
+    (1, 2): [(1, 1), (1, 1)],
+    (0, 2): [(1, 1), (0, 1), (0, 1), (1, -1)],
+}
+
+
+def pure_word(letters):
+    word = []
+    for gen, sign in letters:
+        w = PURE_GENERATORS[gen]
+        word += w if sign > 0 else [(p, -s) for p, s in reversed(w)]
+    return word
+
+
+# One or two distinct pure generators followed by their inverses in any
+# order: every exponent sum, so every linking number, vanishes, and the
+# word has at most 12 letters.
+balanced_pure_words = st.lists(
+    st.tuples(st.sampled_from(sorted(PURE_GENERATORS)), st.sampled_from((1, -1))),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda letter: letter[0],
+).flatmap(lambda letters: st.permutations([(g, -s) for g, s in letters]).map(
+    lambda inverses: pure_word(letters + inverses)))
+
+def braid_words(max_size):
+    """(strands, word) with 2 or 3 strands and 1 to ``max_size`` letters."""
+    return st.integers(min_value=2, max_value=3).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=max_size,
+    ).map(lambda word: (n, word)))
+
+
+# 2- and 3-strand closures that are ASLs, with at most 12 crossings so the
+# oracle's Conway trees stay small.  Random words are kept to 10 letters:
+# some 11- and 12-letter closures take seconds in the tree.
+small_asl_closures = st.one_of(
+    braid_words(10).map(lambda w: closed_braid(*w)).filter(is_algebraically_split),
+    balanced_pure_words.map(lambda word: closed_braid(3, word)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_asl_closures, st.data())
+def test_casson_matches_hoste_oracle_on_braid_closures(d, data):
+    framings = data.draw(st.lists(st.sampled_from((1, -1)),
+                                  min_size=d.components, max_size=d.components))
+    p = SurgeryPresentation(with_framings(d, framings))
+    fast = casson_invariant(p)
+    memo.clear()
+    assert fast == hoste_casson(p)
 
 
 def test_surgery_presentation_rejects_non_integer_framings():
@@ -134,10 +222,21 @@ def test_integral_alternating_sum_matches_naive_oracle(d):
         assert psi2_knot_invariant(knot) == ohtsuki_lambda2(plus_one)
 
 
+def knot_closure(strands, word):
+    """The closure of ``word`` followed by the shortest suffix that makes it
+    a knot."""
+    for suffix in ([], [(0, 1)], [(strands - 2, 1)], [(0, 1), (1, 1)]):
+        d = closed_braid(strands, word + suffix)
+        if d.components == 1:
+            return d
+
+
 # Knots with at most 6 crossings, +-1-framed, and +-1-framed unknots with
-# zero or one crossing.
+# zero or one crossing.  The knots are built rather than filtered out of
+# random closures, so Hypothesis's filter_too_much health check cannot
+# trip.
 framed_knots = st.tuples(
-    braid_closures.filter(lambda d: d.components == 1 and len(d.crossings) <= 6),
+    braid_words(4).map(lambda w: knot_closure(*w)),
     st.sampled_from((1, -1)),
 )
 framed_unknots = st.tuples(

@@ -170,18 +170,24 @@ def test_conway_a2_values():
     assert conway_a2(split) == 0
 
 
-def test_conway_a2_reads_the_casson_sum_cache(monkeypatch):
-    # The surgery sum and conway_a2 share one conway table, so after Casson
-    # on whitehead-plus1 the Whitehead link's a2 walks no resolution tree.
-    from ftik.invariants import casson_invariant
+def test_casson_reads_the_lambda2_phi_table(monkeypatch):
+    # Casson sums phi_1 / 6 over the sublinks whose phi_1 lambda2's first
+    # sum has already memoized, so after lambda2 on whitehead-plus1 the
+    # Casson sum contracts no bracket and walks no Conway tree.
+    from ftik.invariants import casson_invariant, ohtsuki_lambda2
 
-    assert casson_invariant(catalog.presentation("whitehead-plus1")) == 1
+    sp = catalog.presentation("whitehead-plus1")
+    assert ohtsuki_lambda2(sp) == 39
+
+    def no_contraction(d):
+        raise AssertionError("bracket contracted")
 
     def no_conway(d, node_budget):
-        raise AssertionError("conway recomputed")
+        raise AssertionError("conway tree walked")
 
+    monkeypatch.setattr(skein, "_contract_piece", no_contraction)
     monkeypatch.setattr(skein, "_conway", no_conway)
-    assert conway_a2(catalog.get("whitehead").diagram) == 1
+    assert casson_invariant(sp) == 1
 
 
 def test_psi2_and_a2_share_one_conway_walk(monkeypatch):
