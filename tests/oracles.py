@@ -1,4 +1,8 @@
-"""Test-only links and oracles.
+"""Test-only links, strategies and oracles.
+
+``braid_words(max_strands, max_size)`` draws (strands, word) with 2 to
+``max_strands`` strands and 1 to ``max_size`` letters; its closures have one
+crossing per letter.
 
 ``chain(n)`` is the closure of the n-strand pure braid
 prod_{p=0}^{n-3} [A_(p,p+1), A_(p+1,p+2)] with A_(p,p+1) = sigma_p^2, all
@@ -15,6 +19,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from ftik.diagram import (
     LinkDiagram,
     SurgeryPresentation,
@@ -22,7 +28,19 @@ from ftik.diagram import (
     sublink,
     with_framings,
 )
+from ftik.errors import DiagramError
 from ftik.skein import conway_a2
+
+
+def braid_words(max_strands: int, max_size: int):
+    return st.integers(min_value=2, max_value=max_strands).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
+        min_size=1,
+        max_size=max_size,
+    ).map(lambda word: (n, word)))
+
+
+braid_closures = braid_words(4, 12).map(lambda w: closed_braid(*w))
 
 
 def chain(n: int) -> SurgeryPresentation:
@@ -42,5 +60,8 @@ def hoste_casson(sp: SurgeryPresentation) -> Fraction:
 
 
 def is_algebraically_split(d: LinkDiagram) -> bool:
-    lk = d.linking_matrix()
-    return all(lk[p][q] == 0 for p in range(d.components) for q in range(p))
+    try:
+        SurgeryPresentation(with_framings(d, (1,) * d.components))
+    except DiagramError:
+        return False
+    return True

@@ -23,6 +23,7 @@ from ftik.diagram import (
 )
 from ftik.errors import DiagramError
 from ftik.skein import jones
+from oracles import braid_closures
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 
@@ -239,15 +240,6 @@ def test_catalog_diagrams_pass_the_face_count():
         d = entry.diagram
         for variant in (d, mirror(d), parallel(d, 2)):
             assert variant.validate() == [], entry.name
-
-
-braid_closures = st.integers(min_value=2, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
-        min_size=1,
-        max_size=12,
-    ).map(lambda word: closed_braid(n, word))
-)
 
 
 @settings(max_examples=100, deadline=None)

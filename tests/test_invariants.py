@@ -30,8 +30,13 @@ from ftik.invariants import (
 )
 from ftik.errors import DiagramError
 from ftik.skein import conway_a2
-from oracles import chain, hoste_casson, is_algebraically_split
-from test_skein import braid_closures
+from oracles import (
+    braid_closures,
+    braid_words,
+    chain,
+    hoste_casson,
+    is_algebraically_split,
+)
 
 
 def sp(name):
@@ -109,20 +114,12 @@ balanced_pure_words = st.lists(
 ).flatmap(lambda letters: st.permutations([(g, -s) for g, s in letters]).map(
     lambda inverses: pure_word(letters + inverses)))
 
-def braid_words(max_size):
-    """(strands, word) with 2 or 3 strands and 1 to ``max_size`` letters."""
-    return st.integers(min_value=2, max_value=3).flatmap(lambda n: st.lists(
-        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
-        min_size=1,
-        max_size=max_size,
-    ).map(lambda word: (n, word)))
-
 
 # 2- and 3-strand closures that are ASLs, with at most 12 crossings so the
 # oracle's Conway trees stay small.  Random words are kept to 10 letters:
 # some 11- and 12-letter closures take seconds in the tree.
 small_asl_closures = st.one_of(
-    braid_words(10).map(lambda w: closed_braid(*w)).filter(is_algebraically_split),
+    braid_words(3, 10).map(lambda w: closed_braid(*w)).filter(is_algebraically_split),
     balanced_pure_words.map(lambda word: closed_braid(3, word)),
 )
 
@@ -222,21 +219,12 @@ def test_integral_alternating_sum_matches_naive_oracle(d):
         assert psi2_knot_invariant(knot) == ohtsuki_lambda2(plus_one)
 
 
-def knot_closure(strands, word):
-    """The closure of ``word`` followed by the shortest suffix that makes it
-    a knot."""
-    for suffix in ([], [(0, 1)], [(strands - 2, 1)], [(0, 1), (1, 1)]):
-        d = closed_braid(strands, word + suffix)
-        if d.components == 1:
-            return d
-
-
 # Knots with at most 6 crossings, +-1-framed, and +-1-framed unknots with
-# zero or one crossing.  The knots are built rather than filtered out of
-# random closures, so Hypothesis's filter_too_much health check cannot
-# trip.
+# zero or one crossing.  Words of at most 6 letters reach every knot the
+# 12-letter braid_closures did under a 6-crossing filter, and filtering them
+# for knots alone keeps Hypothesis's filter_too_much health check quiet.
 framed_knots = st.tuples(
-    braid_words(4).map(lambda w: knot_closure(*w)),
+    braid_words(4, 6).map(lambda w: closed_braid(*w)).filter(lambda d: d.components == 1),
     st.sampled_from((1, -1)),
 )
 framed_unknots = st.tuples(

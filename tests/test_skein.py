@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ftik import catalog, memo, skein
 from ftik.diagram import (
-    closed_braid,
     disjoint_union,
     mirror,
     smooth_crossing,
@@ -27,6 +25,7 @@ from ftik.skein import (
     kauffman_bracket,
     kauffman_bracket_naive,
 )
+from oracles import braid_closures
 
 # Frozen Jones values in doubled (half-integer) exponents: {2k: c} == c t^k.
 FROZEN_JONES = {
@@ -69,15 +68,6 @@ def test_bracket_oracle_equivalence():
             assert kauffman_bracket(entry.diagram) == kauffman_bracket_naive(
                 entry.diagram
             ), entry.name
-
-
-braid_closures = st.integers(min_value=2, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.tuples(st.integers(min_value=0, max_value=n - 2), st.sampled_from((1, -1))),
-        min_size=1,
-        max_size=12,
-    ).map(lambda word: closed_braid(n, word))
-)
 
 
 @settings(max_examples=60, deadline=None)
