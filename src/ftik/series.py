@@ -325,16 +325,19 @@ class TruncSeries:
 
 
 def laurent_to_series(p: HalfLaurent, order: int) -> TruncSeries:
-    """Expand a half-exponent Laurent polynomial about t = 1 (u = t - 1):
-    a term c t^(h/2) adds c C(h/2, k) to the u^k coefficient."""
-    coeffs = [Fraction(0)] * (order + 1)
+    """Expand a half-exponent Laurent polynomial about t = 1 (u = t - 1).
+
+    A term c t^(h/2) adds c h(h-2)...(h-2k+2) to the integer sum k, which
+    is divided by 2^k k! once, at the end: the u^k coefficient is
+    Σ c C(h/2, k).
+    """
+    sums = [0] * (order + 1)
     for halves, c in p.terms:
-        binom = Fraction(c)
-        coeffs[0] += binom
-        for k in range(1, order + 1):
-            binom = binom * (halves - 2 * k + 2) / (2 * k)
-            coeffs[k] += binom
-    return TruncSeries(order, tuple(coeffs))
+        for k in range(order + 1):
+            sums[k] += c
+            c *= halves - 2 * k
+    return TruncSeries(order, tuple(Fraction(s, 2**k * math.factorial(k))
+                                    for k, s in enumerate(sums)))
 
 
 def compose_exp_minus_one(s: TruncSeries) -> TruncSeries:

@@ -1,11 +1,12 @@
 """Diagram polynomials: Kauffman bracket, Jones polynomial, Conway polynomial.
 
-The bracket is evaluated by contracting crossings one at a time while
-keeping a dictionary of boundary pairings with accumulated weights; states
-that reach the same pairing are merged, which is what makes cable diagrams
-tractable.  The state model has integer coefficients, so each weight is a
-plain ``dict`` from A-exponent to ``int`` and becomes an ``IntLaurent``
-only once per piece.  A contraction step that leaves more than
+The bracket is evaluated by contracting crossings one at a time in an
+order planned once per piece.  The plan gives every open arc a fixed slot,
+and a state is the tuple that pairs the open slots; states that reach the
+same pairing are merged, which is what makes cable diagrams tractable.
+The state model has integer coefficients, so each weight is a plain
+``dict`` from A-exponent to ``int`` and becomes an ``IntLaurent`` only
+once per piece.  A contraction step that leaves more than
 ``_STATE_BUDGET`` pairings alive raises ``ResourceLimitError``.  A naive
 2^n state sum is kept alongside as an independent oracle.  The Jones
 polynomial follows the convention in which
@@ -25,7 +26,7 @@ polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 
 from . import memo
 from .diagram import LinkDiagram, _UnionFind, smooth_crossing, switch_crossing
@@ -53,80 +54,63 @@ clear_caches = memo.clear
 # ---------------------------------------------------------------------------
 
 
-def _apply_joins(pairing: dict[int, int], joins) -> tuple[dict[int, int], int]:
-    """Connect boundary points of a partial tangle; returns the updated
-    perfect matching and the number of loops closed."""
-    m = dict(pairing)
-    loops = 0
-    for x, y in joins:
-        if x == y:
-            loops += 1
-            continue
-        if x in m:
-            px = m.pop(x)
-            del m[px]
-        else:
-            px = x
-        if px == y:
-            loops += 1
-            continue
-        if y in m:
-            py = m.pop(y)
-            del m[py]
-        else:
-            py = y
-        m[px] = py
-        m[py] = px
-    return m, loops
-
-
-def _pairing_key(m: dict[int, int]) -> tuple:
-    return tuple(sorted((x, y) for x, y in m.items() if x < y))
-
-
-def _contraction_order(crossings: tuple) -> list[int]:
+def _contraction_plan(crossings: tuple) -> tuple[int, list]:
     """Greedy order: prefer crossings that close already-open arcs, so the
-    active boundary stays small."""
+    active boundary stays small.  An arc takes a free slot at its first end
+    and gives it back after the crossing at its second end.  Returns the
+    slot count and, per step, both smoothings as (slot joins, A-shift)."""
     remaining = set(range(len(crossings)))
-    open_arcs: set[int] = set()
-    order: list[int] = []
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    fresh = count()
+    plan = []
     while remaining:
-        best, best_score = None, None
-        for i in sorted(remaining):
-            score = sum(1 for arc in crossings[i] if arc in open_arcs)
-            if best_score is None or score > best_score:
-                best, best_score = i, score
-        order.append(best)
+        best = max(sorted(remaining),
+                   key=lambda i: sum(arc in slot_of for arc in crossings[i]))
         remaining.discard(best)
+        slots, released = [], []
         for arc in crossings[best]:
-            if arc in open_arcs:
-                open_arcs.discard(arc)
+            if arc in slot_of:
+                released.append(slot_of.pop(arc))
+                slots.append(released[-1])
             else:
-                open_arcs.add(arc)
-    return order
+                slot_of[arc] = free.pop() if free else next(fresh)
+                slots.append(slot_of[arc])
+        free += released
+        a, b, c, e = slots
+        plan.append(((((a, b), (c, e)), 1), (((a, e), (b, c)), -1)))
+    return next(fresh), plan
 
 
 def _contract_piece(d: LinkDiagram) -> IntLaurent:
     """Bracket of a diagram with one split piece, normalized so a single
     loop gives 1.
 
-    Each state weight is a ``dict`` from A-exponent to integer coefficient;
-    the two smoothings of a crossing multiply it by A^(+-1) times one
-    ``_LOOP_POWERS`` entry and add the product in place into the weight of
-    the resulting pairing.
+    A state is a tuple over the plan's slots: an open arc's slot holds the
+    slot at the other end of its strand, a free slot holds -1.  Each state
+    weight is a ``dict`` from A-exponent to integer coefficient; a
+    smoothing patches a copy of the tuple, multiplies the weight by
+    A^(+-1) times the ``_LOOP_POWERS`` entry of the loops it closed, and
+    adds the product in place into the weight of the resulting state.
     """
-    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    for i in _contraction_order(d.crossings):
-        a, b, c, e = d.crossings[i]
-        branches = ((((a, b), (c, e)), 1), (((a, e), (b, c)), -1))
+    n_slots, plan = _contraction_plan(d.crossings)
+    closed = (-1,) * n_slots
+    states: dict[tuple, dict[int, int]] = {closed: {0: 1}}
+    for branches in plan:
         new_states: dict[tuple, dict[int, int]] = {}
         for key, weight in states.items():
-            pairing = dict(key)
-            for x, y in key:
-                pairing[y] = x
             for joins, shift in branches:
-                m, loops = _apply_joins(pairing, joins)
-                k = _pairing_key(m)
+                m = list(key)
+                loops = 0
+                for x, y in joins:
+                    px = x if m[x] < 0 else m[x]
+                    py = y if m[y] < 0 else m[y]
+                    m[x] = m[y] = -1
+                    if px == y:
+                        loops += 1
+                    else:
+                        m[px], m[py] = py, px
+                k = tuple(m)
                 acc = new_states.get(k)
                 if acc is None:
                     acc = new_states[k] = {}
@@ -139,8 +123,8 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
                 f"bracket contraction exceeded {_STATE_BUDGET} states"
             )
         states = new_states
-    assert set(states) <= {()}
-    total = IntLaurent.from_dict(states.get((), {}))
+    assert set(states) <= {closed}
+    total = IntLaurent.from_dict(states.get(closed, {}))
     return total.divide_exact(_DELTA)
 
 

@@ -180,6 +180,16 @@ def test_missing_file_exits_2(capsys):
     assert err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"name": "x"}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "compute", "--invariant", "a2",
+                         "--link", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_catalog_name_exits_2(capsys):
     code, _, err = run(capsys, "compute", "--invariant", "a2",
                        "--link", "catalog:no-such-link")

@@ -79,3 +79,24 @@ def test_truncation_commutes_with_series_operations(a, b, p):
             assert truncated(a.invert(), k) == a_k.invert()
         assert truncated(compose_exp_minus_one(a), k) == compose_exp_minus_one(a_k)
         assert truncated(laurent_to_series(p, 6), k) == laurent_to_series(p, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(min_value=-40, max_value=40), int_coeffs,
+                    max_size=6).map(HalfLaurent.from_dict),
+    st.integers(min_value=0, max_value=10),
+)
+def test_laurent_to_series_is_a_binomial_sum(p, order):
+    # The u^k coefficient of c t^(h/2) = c (1 + u)^(h/2) is c C(h/2, k),
+    # evaluated here as a falling factorial over k!.
+    want = []
+    for k in range(order + 1):
+        total = Fraction(0)
+        for halves, c in p.terms:
+            binom = Fraction(c)
+            for j in range(k):
+                binom *= (Fraction(halves, 2) - j) / (j + 1)
+            total += binom
+        want.append(total)
+    assert laurent_to_series(p, order).coeffs == tuple(want)

@@ -2,6 +2,7 @@
 naive state-sum oracle."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 
 from ftik import catalog, memo, skein
 from ftik.diagram import (
+    closed_braid,
     disjoint_union,
     mirror,
+    parallel,
     smooth_crossing,
     switch_crossing,
 )
@@ -90,6 +93,39 @@ def test_bracket_state_budget(monkeypatch):
     assert not any(memo._TABLES.values())
     monkeypatch.undo()
     assert kauffman_bracket(d) == want
+
+
+def test_bracket_oracle_equivalence_on_short_braid_cables():
+    # Every 2-parallel of a 1-2 letter word on 2-3 strands: 26 diagrams,
+    # kinks and twist blocks among them.
+    for strands in (2, 3):
+        letters = [(g, s) for g in range(strands - 1) for s in (1, -1)]
+        for size in (1, 2):
+            for word in product(letters, repeat=size):
+                cable = parallel(closed_braid(strands, list(word)), 2)
+                memo.clear()
+                assert kauffman_bracket(cable) == kauffman_bracket_naive(cable), word
+
+
+# Most bracket states alive after one contraction step of a 2-parallel.
+CABLE_PEAK_STATES = {"whitehead": 14, "borromean": 42, "T(3,4)": 131}
+
+
+@pytest.mark.parametrize("name", sorted(CABLE_PEAK_STATES))
+def test_bracket_peak_states_on_cables(monkeypatch, name):
+    if name == "T(3,4)":
+        d = closed_braid(3, [(0, 1), (1, 1)] * 4)
+    else:
+        d = catalog.get(name).diagram
+    cable = parallel(d, 2)
+    peak = CABLE_PEAK_STATES[name]
+    monkeypatch.setattr(skein, "_STATE_BUDGET", peak - 1)
+    memo.clear()
+    with pytest.raises(ResourceLimitError):
+        kauffman_bracket(cable)
+    monkeypatch.setattr(skein, "_STATE_BUDGET", peak)
+    memo.clear()
+    kauffman_bracket(cable)
 
 
 def test_bracket_hopf_value():
