@@ -76,6 +76,8 @@ def _contraction_plan(crossings: tuple) -> tuple[int, list]:
             else:
                 slot_of[arc] = free.pop() if free else next(fresh)
                 slots.append(slot_of[arc])
+        # Not reusable before the next crossing: a smoothing may join a new
+        # arc before it reads the arc that closed here.
         free += released
         a, b, c, e = slots
         plan.append(((((a, b), (c, e)), 1), (((a, e), (b, c)), -1)))
