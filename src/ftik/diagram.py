@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import DiagramError
 
 Crossing = tuple[int, int, int, int]
+_Pair = tuple[int, int]
 
 
 class _UnionFind:
@@ -121,7 +122,34 @@ class LinkDiagram:
 
     @property
     def arc_to_component(self) -> dict[int, int]:
+        """A fresh arc -> component dict on every access, so no caller can
+        change a cached one."""
         return {a: c for c, arcs in enumerate(self.component_arcs) for a in arcs}
+
+    def _component_pairs(self) -> tuple[_Pair, ...]:
+        """Each crossing's (under, over) component pair.  With
+        ``_strand_walks`` this is the strand index; each half is built once
+        per instance, when first read, and kept on it like the canonical
+        keys."""
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None:
+            comp_of = self.arc_to_component
+            pairs = tuple([(comp_of[a], comp_of[b]) for a, b, _c, _e in self.crossings])
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
+
+    def _strand_walks(self) -> tuple[tuple[_Pair, ...], ...]:
+        """Per component, its arcs in order, each paired with the component
+        met at its head (the crossing where the arc ends)."""
+        walks = self.__dict__.get("_walks")
+        if walks is None:
+            met = {}
+            for cr, oi, (p, q) in zip(self.crossings, self.over_in, self._component_pairs()):
+                met[cr[0]] = q
+                met[cr[oi]] = p
+            walks = tuple(tuple((a, met[a]) for a in arcs) for arcs in self.component_arcs)
+            object.__setattr__(self, "_walks", walks)
+        return walks
 
     def is_empty(self) -> bool:
         return self.components == 0
@@ -138,12 +166,8 @@ class LinkDiagram:
         return sum(self.crossing_sign(i) for i in range(len(self.crossings)))
 
     def self_writhe(self, comp: int) -> int:
-        comp_of = self.arc_to_component
-        total = 0
-        for i, (a, b, _c, _d) in enumerate(self.crossings):
-            if comp_of[a] == comp and comp_of[b] == comp:
-                total += self.crossing_sign(i)
-        return total
+        return sum(self.crossing_sign(i) for i, pair in enumerate(self._component_pairs())
+                   if pair == (comp, comp))
 
     # -- validation ---------------------------------------------------------
 
@@ -201,18 +225,17 @@ class LinkDiagram:
         ordered by smallest component.  Two components share a piece when a
         chain of crossings connects them; an unknot marker is a piece of its
         own with no crossings."""
-        comp_of = self.arc_to_component
+        pairs = self._component_pairs()
         uf = _UnionFind()
-        for a, b, _c, _e in self.crossings:
-            p, q = comp_of[a], comp_of[b]
+        for p, q in pairs:
             if p != q:
                 uf.join(p, q)
         roots = [uf.find(c) for c in range(self.components)]
         pieces: dict[int, tuple[list[int], list[int]]] = {}
         for comp, root in enumerate(roots):
             pieces.setdefault(root, ([], []))[0].append(comp)
-        for i, cr in enumerate(self.crossings):
-            pieces[roots[comp_of[cr[0]]]][1].append(i)
+        for i, (p, _q) in enumerate(pairs):
+            pieces[roots[p]][1].append(i)
         return list(pieces.values())
 
     # -- linking data -------------------------------------------------------
@@ -223,9 +246,7 @@ class LinkDiagram:
         components means the diagram is malformed."""
         n = self.components
         sums = [[0] * n for _ in range(n)]
-        comp_of = self.arc_to_component
-        for i, (a, b, _c, _d) in enumerate(self.crossings):
-            p, q = comp_of[a], comp_of[b]
+        for i, (p, q) in enumerate(self._component_pairs()):
             if p != q:
                 s = self.crossing_sign(i)
                 sums[p][q] += s
@@ -521,36 +542,52 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     Crossings between two kept strands are preserved; where a kept strand
     passes through a crossing with a removed strand, its two arcs are fused
     and the crossing disappears.  Component indices keep their original
-    relative order and framings are restricted accordingly.  Each successor
-    cycle of the kept crossings goes to the component of its first arc,
-    since a fused arc is named by an arc of its own component; a kept
-    component that no kept crossing reads, a marker or a loop whose
-    crossings all vanished, gets ``()``.
+    relative order and framings are restricted accordingly.
+
+    Each kept component's arc cycle is walked once, from the strand index:
+    a run of arcs between two kept crossings becomes one fused arc, named
+    by its smallest member, and the fused cycle starts at its smallest arc.
+    Since a name is the smallest arc of its run, a sublink of a sublink is
+    the sublink of the union runs, and ``sublink(sublink(d, A), B')`` equals
+    ``sublink(d, B)`` whenever B' indexes B within A.  A kept component
+    that no kept crossing reads, a marker or a loop whose crossings all
+    vanished, gets ``()``.
     """
     keep = frozenset(keep)
     bad = keep - set(range(d.components))
     if bad:
         raise DiagramError(f"unknown component indices {sorted(bad)}")
-    comp_of = d.arc_to_component
-    uf = _UnionFind()
-    kept: list[tuple[Crossing, int]] = []
-    for cr, oi in zip(d.crossings, d.over_in):
-        a, b, c, e = cr
-        under_kept = comp_of[a] in keep
-        over_kept = comp_of[b] in keep
-        if under_kept and over_kept:
-            kept.append((cr, oi))
-        elif under_kept:
-            uf.join(a, c)
-        elif over_kept:
-            uf.join(b, e)
-    crossings = tuple(tuple(uf.find(x) for x in cr) for cr, _oi in kept)
-    over_in = tuple(oi for _cr, oi in kept)
+    pairs, walks = d._component_pairs(), d._strand_walks()
     kept_comps = sorted(keep)
-    index = {comp: i for i, comp in enumerate(kept_comps)}
-    component_arcs: list[tuple[int, ...]] = [()] * len(kept_comps)
-    for cycle in _cycles(crossings, over_in):
-        component_arcs[index[comp_of[cycle[0]]]] = cycle
+    name: dict[int, int] = {}
+    component_arcs: list[tuple[int, ...]] = []
+    for comp in kept_comps:
+        walk = walks[comp]
+        for first, (_arc, met) in enumerate(walk):
+            if met in keep:
+                break
+        else:
+            component_arcs.append(())
+            continue
+        # Start after a kept crossing, so that every run is whole.
+        cycle, run = [], []
+        for arc, met in walk[first + 1:] + walk[:first + 1]:
+            run.append(arc)
+            if met in keep:
+                fused = min(run)
+                for x in run:
+                    name[x] = fused
+                cycle.append(fused)
+                run = []
+        i = cycle.index(min(cycle))
+        component_arcs.append(tuple(cycle[i:] + cycle[:i]))
+    kept = [
+        ((name[a], name[b], name[c], name[e]), oi)
+        for (a, b, c, e), oi, (p, q) in zip(d.crossings, d.over_in, pairs)
+        if p in keep and q in keep
+    ]
+    crossings = tuple(cr for cr, _oi in kept)
+    over_in = tuple(oi for _cr, oi in kept)
     framings = tuple(d.framings[comp] for comp in kept_comps)
     return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
 

@@ -30,6 +30,9 @@ The alternating sum is taken on integral Jones polynomials: multiplied by
 coefficients, memoized per split piece, and only the final division
 expands a series.  Everything is exact.  Each series is expanded exactly
 as far as its formula reads it: order #L + i for phi_i and i for v_i.
+phi_i reads one coefficient of P / s^(#L - 1), so it convolves the
+expansion of P with the inverse of s^(#L - 1), which is memoized per
+(#L, order), and forms only that coefficient.
 """
 
 from __future__ import annotations
@@ -79,8 +82,14 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     s = t^{1/2} + t^{-1/2} and P the integral Jones sum below."""
     if d.components == 0:
         return TruncSeries.one(order)
-    denom = laurent_to_series(HALF_SUM ** (d.components - 1), order)
-    return laurent_to_series(_alternating_jones(d), order) * denom.invert()
+    return laurent_to_series(_alternating_jones(d), order) * _inverse_denominator(
+        d.components, order)
+
+
+def _inverse_denominator(n: int, order: int) -> TruncSeries:
+    """1 / s^(n - 1) about t = 1, memoized per (n, order)."""
+    return memo.lookup("inverse", (n, order),
+                       lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
 
 
 def _alternating_jones(d: LinkDiagram) -> HalfLaurent:
@@ -124,9 +133,15 @@ def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 
 
 def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
-    needed = d.components + i
-    phi = sublink_alternating_series(d, needed)
-    return Fraction((-2) ** d.components) * phi.coeff(needed)
+    """Only the u^(#L + i) coefficient of P / s^(#L - 1) is read, so it is
+    the one coefficient of the product that is formed."""
+    n = d.components
+    needed = n + i
+    if n == 0:
+        return sublink_alternating_series(d, needed).coeff(needed)
+    p_coeffs = laurent_to_series(_alternating_jones(d), needed).coeffs
+    inverse = _inverse_denominator(n, needed).coeffs
+    return (-2) ** n * sum(p_coeffs[k] * inverse[needed - k] for k in range(needed + 1))
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:

@@ -1,6 +1,6 @@
 """The memo layer: every per-diagram value that ftik caches lives here.
 
-Each table is keyed by a relabelling-invariant diagram key
+Each diagram table is keyed by a relabelling-invariant diagram key
 (``LinkDiagram.canonical_key``; the framed key for the surgery sums),
 extended by the derivative index where the value depends on it, so a hit
 returns exactly what a fresh computation would and every memoized
@@ -8,9 +8,10 @@ function stays observably pure.  Only returned values are stored: a computation 
 raises leaves no entry behind.
 
 Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
-alternating sublink sum, per split piece), ``conway`` (read by ``a2``
-and ``psi2`` alike), ``phi`` (sublink weights), ``casson`` and
-``lambda2``.
+alternating sublink sum, per split piece), ``inverse`` (the series
+1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed by (#L, order) rather
+than by a diagram), ``conway`` (read by ``a2`` and ``psi2`` alike),
+``phi`` (sublink weights), ``casson`` and ``lambda2``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Any, Callable, Hashable, TypeVar
 T = TypeVar("T")
 
 _TABLES: dict[str, dict] = {
-    name: {} for name in ("bracket", "jones", "alt", "conway", "phi", "casson", "lambda2")
+    name: {} for name in (
+        "bracket", "jones", "alt", "inverse", "conway", "phi", "casson", "lambda2")
 }
 
 

@@ -25,6 +25,7 @@ polynomial.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import chain, count
 
@@ -56,26 +57,48 @@ clear_caches = memo.clear
 
 def _contraction_plan(crossings: tuple) -> tuple[int, list]:
     """Greedy order: prefer crossings that close already-open arcs, so the
-    active boundary stays small.  An arc takes a free slot at its first end
-    and gives it back after the crossing at its second end.  Returns the
-    slot count and, per step, both smoothings as (slot joins, A-shift)."""
-    remaining = set(range(len(crossings)))
+    active boundary stays small, and on ties the lowest index.  An arc takes
+    a free slot at its first end and gives it back after the crossing at its
+    second end.  ``opened`` counts the open arcs at each crossing and moves
+    with every slot taken or given back; ``levels[k]`` is a heap of the
+    crossings counted k when pushed, and entries gone stale are skipped.
+    Returns the slot count and, per step, both smoothings as (slot joins,
+    A-shift)."""
+    n = len(crossings)
+    ends: dict[int, list[int]] = {}
+    for i, cr in enumerate(crossings):
+        for arc in cr:
+            ends.setdefault(arc, []).append(i)
+    opened = [0] * n
+    done = [False] * n
+    levels: list[list[int]] = [list(range(n)), [], [], [], []]
     slot_of: dict[int, int] = {}
     free: list[int] = []
     fresh = count()
     plan = []
-    while remaining:
-        best = max(sorted(remaining),
-                   key=lambda i: sum(arc in slot_of for arc in crossings[i]))
-        remaining.discard(best)
+    for _step in range(n):
+        for k in range(4, -1, -1):
+            heap = levels[k]
+            while heap and (done[heap[0]] or opened[heap[0]] != k):
+                heapq.heappop(heap)
+            if heap:
+                best = heapq.heappop(heap)
+                break
+        done[best] = True
         slots, released = [], []
         for arc in crossings[best]:
             if arc in slot_of:
                 released.append(slot_of.pop(arc))
                 slots.append(released[-1])
+                change = -1
             else:
                 slot_of[arc] = free.pop() if free else next(fresh)
                 slots.append(slot_of[arc])
+                change = 1
+            for i in ends[arc]:
+                if not done[i]:
+                    opened[i] += change
+                    heapq.heappush(levels[opened[i]], i)
         # Not reusable before the next crossing: a smoothing may join a new
         # arc before it reads the arc that closed here.
         free += released

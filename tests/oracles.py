@@ -13,17 +13,26 @@ vanish, it is not split, and removing an end component leaves chain n - 1.
 nonempty sublinks, with a2 read from the Conway resolution tree.  The
 library sums phi_1 / 6 on the Jones side instead, so the two are
 independent engines for the Casson invariant.
+
+``sublink_union_find`` restricts a diagram to some components by joining
+the fused arcs in a union-find and re-tracing the successor cycles; the
+library walks each kept strand once instead.  ``contraction_plan_rescored``
+plans the bracket contraction by rescoring every remaining crossing at
+each step; the library keeps a running count of open arcs per crossing.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from hypothesis import strategies as st
 
 from ftik.diagram import (
+    Crossing,
     LinkDiagram,
     SurgeryPresentation,
+    _cycles,
+    _UnionFind,
     closed_braid,
     sublink,
     with_framings,
@@ -65,3 +74,60 @@ def is_algebraically_split(d: LinkDiagram) -> bool:
     except DiagramError:
         return False
     return True
+
+
+def contraction_plan_rescored(crossings: tuple) -> tuple[int, list]:
+    """The bracket's greedy contraction plan, rescoring every remaining
+    crossing at each step: the most open arcs first, the lowest index on
+    ties."""
+    remaining = set(range(len(crossings)))
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    fresh = count()
+    plan = []
+    while remaining:
+        best = max(sorted(remaining),
+                   key=lambda i: sum(arc in slot_of for arc in crossings[i]))
+        remaining.discard(best)
+        slots, released = [], []
+        for arc in crossings[best]:
+            if arc in slot_of:
+                released.append(slot_of.pop(arc))
+                slots.append(released[-1])
+            else:
+                slot_of[arc] = free.pop() if free else next(fresh)
+                slots.append(slot_of[arc])
+        free += released
+        a, b, c, e = slots
+        plan.append(((((a, b), (c, e)), 1), (((a, e), (b, c)), -1)))
+    return next(fresh), plan
+
+
+def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:
+    """The sublink on the components in ``keep``: each crossing with a
+    removed strand joins the two arcs of its kept strand, every arc is
+    renamed to its union-find root, and each successor cycle of the kept
+    crossings goes to the component of its first arc."""
+    keep = frozenset(keep)
+    comp_of = d.arc_to_component
+    uf = _UnionFind()
+    kept: list[tuple[Crossing, int]] = []
+    for cr, oi in zip(d.crossings, d.over_in):
+        a, b, c, e = cr
+        under_kept = comp_of[a] in keep
+        over_kept = comp_of[b] in keep
+        if under_kept and over_kept:
+            kept.append((cr, oi))
+        elif under_kept:
+            uf.join(a, c)
+        elif over_kept:
+            uf.join(b, e)
+    crossings = tuple(tuple(uf.find(x) for x in cr) for cr, _oi in kept)
+    over_in = tuple(oi for _cr, oi in kept)
+    kept_comps = sorted(keep)
+    index = {comp: i for i, comp in enumerate(kept_comps)}
+    component_arcs: list[tuple[int, ...]] = [()] * len(kept_comps)
+    for cycle in _cycles(crossings, over_in):
+        component_arcs[index[comp_of[cycle[0]]]] = cycle
+    framings = tuple(d.framings[comp] for comp in kept_comps)
+    return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftik import catalog
+from ftik import catalog, memo
 from ftik.diagram import (
     LinkDiagram,
     SurgeryPresentation,
@@ -23,7 +23,7 @@ from ftik.diagram import (
 )
 from ftik.errors import DiagramError
 from ftik.skein import jones
-from oracles import braid_closures
+from oracles import braid_closures, braid_words, sublink_union_find
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 
@@ -162,6 +162,51 @@ def test_sublink():
     # Any 2-component sublink of the Borromean rings is an unlink; its
     # crossings between the two survivors cancel but arcs stay consistent.
     assert sublink(b, ()).is_empty()
+
+
+def subsets(n):
+    return [keep for r in range(n + 1) for keep in combinations(range(n), r)]
+
+
+closures_and_cables = st.one_of(
+    braid_closures,
+    braid_words(4, 8).map(lambda w: parallel(closed_braid(*w), 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures_and_cables)
+def test_sublink_of_a_sublink_is_a_sublink(d):
+    # Fused arcs are named by their smallest member, so the law holds as
+    # exact dataclass equality, arc names included.
+    for a in subsets(d.components):
+        sub = sublink(d, a)
+        for b in subsets(len(a)):
+            assert sublink(sub, b) == sublink(d, [a[i] for i in b]), (a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    braid_closures,
+    braid_words(3, 5).map(lambda w: parallel(closed_braid(*w), 2)),
+))
+def test_sublink_matches_the_union_find_oracle(d):
+    for keep in subsets(d.components):
+        fast, slow = sublink(d, keep), sublink_union_find(d, keep)
+        assert fast.validate() == [] and slow.validate() == []
+        assert fast.framings == slow.framings
+        assert fast.unknotted_components == slow.unknotted_components
+        if fast.components:
+            jones_fast = jones(fast)
+            memo.clear()
+            assert jones(slow) == jones_fast, keep
+
+
+def test_arc_to_component_is_a_fresh_dict():
+    d = catalog.get("borromean").diagram
+    d.arc_to_component.clear()
+    assert len(d.arc_to_component) == 2 * len(d.crossings)
+    assert d.linking_matrix() == [[0] * 3 for _ in range(3)]
 
 
 def test_disjoint_union():

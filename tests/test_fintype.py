@@ -38,6 +38,23 @@ def test_casson_order_exactly_three_on_chains():
         assert difference_sum(CASSON, chain(n)) == 0, n
 
 
+def test_casson_squared_obeys_the_product_rule_on_chains():
+    # Theorem 3.1's algebra rests on Delta_L(FG) = (-1)^#L sum over A u B = L
+    # of (-1)^(#A + #B) Delta_A F Delta_B G, A and B possibly overlapping;
+    # here F = G = Casson on non-split chains.
+    squared = InvariantFunction("casson^2", lambda sp: CASSON(sp) ** 2)
+    for n, expected in zip(range(4, 8), (2, -2, 2, 0)):
+        sp = chain(n)
+        delta = {a: difference_sum(CASSON, sp.sub_presentation(
+                     [c for c in range(n) if a >> c & 1]))
+                 for a in range(1 << n)}
+        full = (1 << n) - 1
+        product_side = (-1) ** n * sum(
+            (-1) ** (a.bit_count() + b.bit_count()) * delta[a] * delta[b]
+            for a in delta for b in delta if a | b == full)
+        assert difference_sum(squared, sp) == product_side == expected, n
+
+
 def test_difference_sum_lambda2_vanishes_on_seven_split():
     sp = catalog.presentation("split-seven-plus1")
     assert sp.diagram.components == 7

@@ -2,6 +2,7 @@
 the induced knot invariant psi2."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,32 @@ def test_sublink_alternating_series_factored_matches_naive():
     # A split unknot component kills the whole alternating sum.
     with_unknot = disjoint_union(split, catalog.get("unknot").diagram)
     assert sublink_alternating_series(with_unknot, 8).is_zero()
+
+
+def weight_by_naive_sum(d, i):
+    n = d.components
+    return (-2) ** n * sublink_alternating_series_naive(d, n + i).coeff(n + i)
+
+
+def test_sublink_weight_is_one_coefficient_of_the_naive_sum():
+    empty = sublink(catalog.get("unknot").diagram, ())
+    diagrams = [empty] + [entry.diagram for entry in catalog.entries()]
+    for name in ("whitehead", "borromean"):
+        cable = parallel(catalog.get(name).diagram, 2)
+        diagrams += [sublink(cable, keep) for r in range(cable.components + 1)
+                     for keep in combinations(range(cable.components), r)]
+    for d in diagrams:
+        weights = [jones_sublink_weight(d, i) for i in (1, 2)]
+        # The oracle computes its own X values instead of reading the memo.
+        memo.clear()
+        assert weights == [weight_by_naive_sum(d, i) for i in (1, 2)], d
+
+
+def test_memo_clear_empties_the_inverse_table():
+    jones_sublink_weight(catalog.get("whitehead").diagram, 2)
+    assert memo._TABLES["inverse"]
+    memo.clear()
+    assert not any(memo._TABLES.values())
 
 
 closures_unions_and_cables = st.one_of(

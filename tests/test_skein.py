@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftik import catalog, memo, skein
 from ftik.diagram import (
@@ -28,7 +29,7 @@ from ftik.skein import (
     kauffman_bracket,
     kauffman_bracket_naive,
 )
-from oracles import braid_closures
+from oracles import braid_closures, braid_words, contraction_plan_rescored
 
 # Frozen Jones values in doubled (half-integer) exponents: {2k: c} == c t^k.
 FROZEN_JONES = {
@@ -105,6 +106,21 @@ def test_bracket_oracle_equivalence_on_short_braid_cables():
                 cable = parallel(closed_braid(strands, list(word)), 2)
                 memo.clear()
                 assert kauffman_bracket(cable) == kauffman_bracket_naive(cable), word
+
+
+def test_contraction_plan_matches_rescoring_on_catalog_and_cables():
+    for entry in catalog.entries():
+        for d in (entry.diagram, parallel(entry.diagram, 2)):
+            assert skein._contraction_plan(d.crossings) == contraction_plan_rescored(
+                d.crossings), entry.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(3, 8), st.integers(min_value=2, max_value=3))
+def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
+    cable = parallel(closed_braid(*word), m)
+    assert skein._contraction_plan(cable.crossings) == contraction_plan_rescored(
+        cable.crossings)
 
 
 # Most bracket states alive after one contraction step of a 2-parallel.
