@@ -71,8 +71,10 @@ def load_link(spec: str) -> tuple[str, LinkDiagram]:
 def cmd_compute(args: argparse.Namespace) -> int:
     try:
         name, d = load_link(args.link)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
-        # An unreadable or non-UTF-8 file, bad JSON or an unknown catalog name.
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            KeyError) as exc:
+        # An unreadable or non-UTF-8 file, bad JSON, JSON nested too deeply to
+        # parse or an unknown catalog name.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     evaluate, variable = INVARIANTS[args.invariant]

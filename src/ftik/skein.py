@@ -4,12 +4,13 @@ The bracket is evaluated by contracting crossings one at a time in an
 order planned once per piece.  The plan gives every open arc a fixed slot,
 and a state is the tuple that pairs the open slots; states that reach the
 same pairing are merged, which is what makes cable diagrams tractable.
-The state model has integer coefficients, so each weight is a plain
-``dict`` from A-exponent to ``int`` and becomes an ``IntLaurent`` only
-once per piece.  A contraction step that leaves more than
-``_STATE_BUDGET`` pairings alive raises ``ResourceLimitError``.  A naive
-2^n state sum is kept alongside as an independent oracle.  The Jones
-polynomial follows the convention in which
+The state model has integer coefficients, so each weight is packed into
+one ``int`` with one wide digit per power of A^2 above its lowest
+A-exponent, and becomes an ``IntLaurent`` only once per piece.  A
+contraction step that leaves more than ``_STATE_BUDGET`` pairings alive
+raises ``ResourceLimitError``.  A naive 2^n state sum is kept alongside as
+an independent oracle.  The Jones polynomial follows the convention in
+which
 
     t V(L+) - t^{-1} V(L-) = (t^{1/2} - t^{-1/2}) V(L0),   V(unknot) = 1,
 
@@ -36,10 +37,6 @@ from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
 # Loop value -A^2 - A^(-2).
 _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
-
-# (-A^2 - A^(-2))^k as (exponent, coefficient) pairs, for the at most two
-# loops that one smoothing of a crossing can close.
-_LOOP_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 # Most boundary pairings one contraction step may leave alive.
 _STATE_BUDGET = 10**6
@@ -112,45 +109,74 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
     loop gives 1.
 
     A state is a tuple over the plan's slots: an open arc's slot holds the
-    slot at the other end of its strand, a free slot holds -1.  Each state
-    weight is a ``dict`` from A-exponent to integer coefficient; a
-    smoothing patches a copy of the tuple, multiplies the weight by
-    A^(+-1) times the ``_LOOP_POWERS`` entry of the loops it closed, and
-    adds the product in place into the weight of the resulting state.
+    slot at the other end of its strand, a free slot holds -1.  Its weight
+    is a pair ``(low, x)`` with ``x = sum_j c_j 2^(b j)``, which stands for
+    sum_j c_j A^(low + 2j): after k steps every exponent has the parity of
+    k, so the digits step by A^2.  The digits are balanced, in
+    [-2^(b-1), 2^(b-1)), and ``x`` is one signed ``int``.
+
+    The width ``b = 3n + 2`` for n crossings is safe: a weight is a sum
+    over the smoothing paths that reach its state, each contributing
+    (-A^2 - A^(-2))^(loops it closed) times a power of A, whose
+    coefficients have absolute sum 2^loops.  A path of k <= n steps closes
+    at most 2k loops, so every |c_j| <= 2^k 4^k = 8^k < 2^(b-1), and no
+    digit ever carries into its neighbour.
+
+    A smoothing patches a copy of the tuple, moves ``low`` by its A-shift
+    and by -2 per loop it closed, and multiplies ``x`` by the packed
+    (-A^2 - A^(-2))^loops.  Adding into a state whose ``low`` differs
+    shifts the operand with the higher ``low`` left by b digits per A^2.
+    The closed state's weight is decoded into an ``IntLaurent`` once.
     """
     n_slots, plan = _contraction_plan(d.crossings)
+    b = 3 * len(d.crossings) + 2
+    # (-A^2 - A^(-2))^loops for 0, 1 and 2 loops, packed from A^(-2 loops).
+    loop_factors = (1, -(1 + (1 << 2 * b)), 1 + (1 << (2 * b + 1)) + (1 << 4 * b))
     closed = (-1,) * n_slots
-    states: dict[tuple, dict[int, int]] = {closed: {0: 1}}
+    states: dict[tuple, tuple[int, int]] = {closed: (0, 1)}
     for branches in plan:
-        new_states: dict[tuple, dict[int, int]] = {}
-        for key, weight in states.items():
+        new_states: dict[tuple, tuple[int, int]] = {}
+        for key, (low, x) in states.items():
             for joins, shift in branches:
                 m = list(key)
                 loops = 0
-                for x, y in joins:
-                    px = x if m[x] < 0 else m[x]
-                    py = y if m[y] < 0 else m[y]
-                    m[x] = m[y] = -1
-                    if px == y:
+                for p, q in joins:
+                    pp = p if m[p] < 0 else m[p]
+                    pq = q if m[q] < 0 else m[q]
+                    m[p] = m[q] = -1
+                    if pp == q:
                         loops += 1
                     else:
-                        m[px], m[py] = py, px
+                        m[pp], m[pq] = pq, pp
                 k = tuple(m)
+                new_low = low + shift - 2 * loops
+                new_x = x * loop_factors[loops] if loops else x
                 acc = new_states.get(k)
-                if acc is None:
-                    acc = new_states[k] = {}
-                for fe, fc in _LOOP_POWERS[loops]:
-                    fe += shift
-                    for we, wc in weight.items():
-                        acc[we + fe] = acc.get(we + fe, 0) + fc * wc
+                if acc is not None:
+                    acc_low, acc_x = acc
+                    if acc_low < new_low:
+                        new_x = acc_x + (new_x << b * ((new_low - acc_low) >> 1))
+                        new_low = acc_low
+                    else:
+                        new_x += acc_x << b * ((acc_low - new_low) >> 1)
+                new_states[k] = (new_low, new_x)
         if len(new_states) > _STATE_BUDGET:
             raise ResourceLimitError(
                 f"bracket contraction exceeded {_STATE_BUDGET} states"
             )
         states = new_states
     assert set(states) <= {closed}
-    total = IntLaurent.from_dict(states.get(closed, {}))
-    return total.divide_exact(_DELTA)
+    low, x = states.get(closed, (0, 0))
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    coeffs: dict[int, int] = {}
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << b
+        coeffs[low] = c
+        x = (x - c) >> b
+        low += 2
+    return IntLaurent.from_dict(coeffs).divide_exact(_DELTA)
 
 
 def kauffman_bracket(d: LinkDiagram) -> IntLaurent:

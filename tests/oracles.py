@@ -19,6 +19,10 @@ the fused arcs in a union-find and re-tracing the successor cycles; the
 library walks each kept strand once instead.  ``contraction_plan_rescored``
 plans the bracket contraction by rescoring every remaining crossing at
 each step; the library keeps a running count of open arcs per crossing.
+
+``contract_piece_dict`` contracts a bracket piece on the library's plan and
+state tuples, but keeps each state's weight as a ``dict`` from A-exponent
+to coefficient; the library packs each weight into one integer.
 """
 
 import math
@@ -38,7 +42,8 @@ from ftik.diagram import (
     with_framings,
 )
 from ftik.errors import DiagramError
-from ftik.skein import conway_a2
+from ftik.series import IntLaurent
+from ftik.skein import _DELTA, _contraction_plan, conway_a2
 
 
 def braid_words(max_strands: int, max_size: int):
@@ -101,6 +106,43 @@ def contraction_plan_rescored(crossings: tuple) -> tuple[int, list]:
         a, b, c, e = slots
         plan.append(((((a, b), (c, e)), 1), (((a, e), (b, c)), -1)))
     return next(fresh), plan
+
+
+# (-A^2 - A^(-2))^k as (exponent, coefficient) pairs, for the at most two
+# loops that one smoothing of a crossing can close.
+_LOOP_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
+
+
+def contract_piece_dict(d: LinkDiagram) -> IntLaurent:
+    """Bracket of a diagram with one split piece, normalized so a single
+    loop gives 1, with one ``dict`` weight per state: a smoothing multiplies
+    the weight by A^(+-1) times the ``_LOOP_POWERS`` entry of the loops it
+    closed and adds the product into the weight of the resulting state."""
+    n_slots, plan = _contraction_plan(d.crossings)
+    closed = (-1,) * n_slots
+    states: dict[tuple, dict[int, int]] = {closed: {0: 1}}
+    for branches in plan:
+        new_states: dict[tuple, dict[int, int]] = {}
+        for key, weight in states.items():
+            for joins, shift in branches:
+                m = list(key)
+                loops = 0
+                for x, y in joins:
+                    px = x if m[x] < 0 else m[x]
+                    py = y if m[y] < 0 else m[y]
+                    m[x] = m[y] = -1
+                    if px == y:
+                        loops += 1
+                    else:
+                        m[px], m[py] = py, px
+                acc = new_states.setdefault(tuple(m), {})
+                for fe, fc in _LOOP_POWERS[loops]:
+                    fe += shift
+                    for we, wc in weight.items():
+                        acc[we + fe] = acc.get(we + fe, 0) + fc * wc
+        states = new_states
+    assert set(states) <= {closed}
+    return IntLaurent.from_dict(states.get(closed, {})).divide_exact(_DELTA)
 
 
 def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:

@@ -190,6 +190,17 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_deeply_nested_link_file_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError, not JSONDecodeError, on deep nesting.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "compute", "--invariant", "a2",
+                         "--link", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_catalog_name_exits_2(capsys):
     code, _, err = run(capsys, "compute", "--invariant", "a2",
                        "--link", "catalog:no-such-link")

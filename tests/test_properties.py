@@ -2,14 +2,25 @@
 
 import pytest
 
-from ftik import catalog
-from ftik.diagram import SurgeryPresentation, mirror, parallel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftik import catalog, memo
+from ftik.diagram import (
+    SurgeryPresentation,
+    closed_braid,
+    mirror,
+    parallel,
+    with_framings,
+)
 from ftik.fintype import CASSON, LAMBDA1, difference_sum
 from ftik.invariants import (
     jones_exp_derivative,
+    ohtsuki_lambda2,
     sublink_alternating_series,
 )
 from ftik.skein import conway, jones
+from oracles import braid_words, is_algebraically_split
 
 
 def test_parallel_linking_vanishes_for_m_2_and_3():
@@ -75,3 +86,33 @@ def test_difference_sums_vanish_exhaustively_from_four_components():
         sp = SurgeryPresentation(entry.diagram)
         assert difference_sum(CASSON, sp) == 0, entry.name
         assert difference_sum(LAMBDA1, sp) == 0, entry.name
+
+
+def jones_and_lambda2(d):
+    """Jones polynomial and, on an algebraically split link, lambda2 with
+    every framing +1, from a cold memo."""
+    memo.clear()
+    if not is_algebraically_split(d):
+        return jones(d), None
+    return jones(d), ohtsuki_lambda2(
+        SurgeryPresentation(with_framings(d, (1,) * d.components)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(braid_words(4, 6), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=2), st.sampled_from((1, -1)))
+def test_markov_moves_keep_jones_and_lambda2(word, turn, g, sign):
+    strands, letters = word
+    turn %= len(letters)
+    g %= strands - 1
+    want = jones_and_lambda2(closed_braid(strands, letters))
+    # Markov conjugation: rotating the word, and wrapping it in a letter and
+    # its inverse.  Markov stabilization: a letter that crosses the last
+    # strand with a new one.
+    moved = (
+        closed_braid(strands, letters[turn:] + letters[:turn]),
+        closed_braid(strands, [(g, sign)] + letters + [(g, -sign)]),
+        closed_braid(strands + 1, letters + [(strands - 1, sign)]),
+    )
+    for d in moved:
+        assert jones_and_lambda2(d) == want

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ftik import catalog, memo, skein
 from ftik.diagram import (
+    LinkDiagram,
     closed_braid,
     disjoint_union,
     mirror,
@@ -29,7 +30,12 @@ from ftik.skein import (
     kauffman_bracket,
     kauffman_bracket_naive,
 )
-from oracles import braid_closures, braid_words, contraction_plan_rescored
+from oracles import (
+    braid_closures,
+    braid_words,
+    contract_piece_dict,
+    contraction_plan_rescored,
+)
 
 # Frozen Jones values in doubled (half-integer) exponents: {2k: c} == c t^k.
 FROZEN_JONES = {
@@ -121,6 +127,34 @@ def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
     cable = parallel(closed_braid(*word), m)
     assert skein._contraction_plan(cable.crossings) == contraction_plan_rescored(
         cable.crossings)
+
+
+def split_pieces(d):
+    """The one-piece diagrams that ``kauffman_bracket`` contracts for ``d``."""
+    for _comps, indices in d.split_pieces():
+        if indices:
+            yield LinkDiagram.assemble(tuple(d.crossings[i] for i in indices),
+                                       tuple(d.over_in[i] for i in indices))
+
+
+def assert_kernels_agree(d):
+    for piece in split_pieces(d):
+        assert skein._contract_piece(piece) == contract_piece_dict(piece)
+
+
+def test_packed_kernel_matches_dict_kernel_on_catalog_and_cables():
+    for entry in catalog.entries():
+        for d in (entry.diagram, parallel(entry.diagram, 2)):
+            assert_kernels_agree(d)
+    # 3-parallels reach larger coefficients of both signs.
+    for name in ("trefoil-right", "hopf-positive", "whitehead"):
+        assert_kernels_agree(parallel(catalog.get(name).diagram, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(3, 6), st.integers(min_value=2, max_value=3))
+def test_packed_kernel_matches_dict_kernel_on_random_cables(word, m):
+    assert_kernels_agree(parallel(closed_braid(*word), m))
 
 
 # Most bracket states alive after one contraction step of a 2-parallel.
