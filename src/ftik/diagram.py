@@ -13,6 +13,7 @@ Diagrams are immutable values and every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
 from typing import Callable, Iterable, Sequence
 
@@ -120,36 +121,23 @@ class LinkDiagram:
     def unknotted_components(self) -> int:
         return self.component_arcs.count(())
 
-    @property
-    def arc_to_component(self) -> dict[int, int]:
-        """A fresh arc -> component dict on every access, so no caller can
-        change a cached one."""
-        return {a: c for c, arcs in enumerate(self.component_arcs) for a in arcs}
-
+    @cached_property
     def _component_pairs(self) -> tuple[_Pair, ...]:
         """Each crossing's (under, over) component pair.  With
-        ``_strand_walks`` this is the strand index; each half is built once
-        per instance, when first read, and kept on it like the canonical
-        keys."""
-        pairs = self.__dict__.get("_pairs")
-        if pairs is None:
-            comp_of = self.arc_to_component
-            pairs = tuple([(comp_of[a], comp_of[b]) for a, b, _c, _e in self.crossings])
-            object.__setattr__(self, "_pairs", pairs)
-        return pairs
+        ``_strand_walks`` this is the strand index, built once per instance
+        when first read."""
+        comp_of = {a: c for c, arcs in enumerate(self.component_arcs) for a in arcs}
+        return tuple([(comp_of[a], comp_of[b]) for a, b, _c, _e in self.crossings])
 
+    @cached_property
     def _strand_walks(self) -> tuple[tuple[_Pair, ...], ...]:
         """Per component, its arcs in order, each paired with the component
         met at its head (the crossing where the arc ends)."""
-        walks = self.__dict__.get("_walks")
-        if walks is None:
-            met = {}
-            for cr, oi, (p, q) in zip(self.crossings, self.over_in, self._component_pairs()):
-                met[cr[0]] = q
-                met[cr[oi]] = p
-            walks = tuple(tuple((a, met[a]) for a in arcs) for arcs in self.component_arcs)
-            object.__setattr__(self, "_walks", walks)
-        return walks
+        met = {}
+        for cr, oi, (p, q) in zip(self.crossings, self.over_in, self._component_pairs):
+            met[cr[0]] = q
+            met[cr[oi]] = p
+        return tuple(tuple((a, met[a]) for a in arcs) for arcs in self.component_arcs)
 
     def is_empty(self) -> bool:
         return self.components == 0
@@ -166,7 +154,7 @@ class LinkDiagram:
         return sum(self.crossing_sign(i) for i in range(len(self.crossings)))
 
     def self_writhe(self, comp: int) -> int:
-        return sum(self.crossing_sign(i) for i, pair in enumerate(self._component_pairs())
+        return sum(self.crossing_sign(i) for i, pair in enumerate(self._component_pairs)
                    if pair == (comp, comp))
 
     # -- validation ---------------------------------------------------------
@@ -225,7 +213,7 @@ class LinkDiagram:
         ordered by smallest component.  Two components share a piece when a
         chain of crossings connects them; an unknot marker is a piece of its
         own with no crossings."""
-        pairs = self._component_pairs()
+        pairs = self._component_pairs
         uf = _UnionFind()
         for p, q in pairs:
             if p != q:
@@ -246,7 +234,7 @@ class LinkDiagram:
         components means the diagram is malformed."""
         n = self.components
         sums = [[0] * n for _ in range(n)]
-        for i, (p, q) in enumerate(self._component_pairs()):
+        for i, (p, q) in enumerate(self._component_pairs):
             if p != q:
                 s = self.crossing_sign(i)
                 sums[p][q] += s
@@ -267,22 +255,22 @@ class LinkDiagram:
     # -- canonical key ------------------------------------------------------
 
     def canonical_key(self, include_framings: bool = False) -> tuple:
-        """A relabelling-invariant encoding used as a cache key.
+        """A cache key: equal keys mean diagrams equal up to arc names.
 
-        Each arc is renumbered by its position in ``component_arcs`` read in
-        order, from 1; the crossing list is then sorted.  Both keys are
-        computed once per instance and kept on it, outside the dataclass
-        fields, so equality and hashing are unaffected.
+        Its body is the sorted (crossing, over_in) pairs of the diagram with
+        each arc renumbered by its position in ``component_arcs`` read in
+        order, from 1; that position-numbered copy is
+        ``sublink(d, range(d.components))``.  So the key is invariant under
+        renamings of the arcs that keep the order of their ids, but not
+        under every relabelling: the same diagram with its arcs named in
+        another order can get another key, and a memo hit rate depends on
+        how arcs are named.  Both keys are built once per instance, outside
+        the dataclass fields, so equality and hashing are unaffected.
         """
-        keys = self.__dict__.get("_keys")
-        if keys is None:
-            key = self._framing_free_key()
-            markers = tuple(c for c, arcs in enumerate(self.component_arcs) if not arcs)
-            keys = (key, key + (self.framings, markers))
-            object.__setattr__(self, "_keys", keys)
-        return keys[include_framings]
+        return self._keys[include_framings]
 
-    def _framing_free_key(self) -> tuple:
+    @cached_property
+    def _keys(self) -> tuple[tuple, tuple]:
         relabel = {a: i for i, a in enumerate(chain.from_iterable(self.component_arcs), 1)}
         body = tuple(
             sorted(
@@ -290,7 +278,9 @@ class LinkDiagram:
                 for cr, oi in zip(self.crossings, self.over_in)
             )
         )
-        return (body, self.components, self.unknotted_components)
+        key = (body, self.components, self.unknotted_components)
+        markers = tuple(c for c, arcs in enumerate(self.component_arcs) if not arcs)
+        return key, key + (self.framings, markers)
 
     # -- serialization ------------------------------------------------------
 
@@ -544,46 +534,43 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     and the crossing disappears.  Component indices keep their original
     relative order and framings are restricted accordingly.
 
-    Each kept component's arc cycle is walked once, from the strand index:
-    a run of arcs between two kept crossings becomes one fused arc, named
-    by its smallest member, and the fused cycle starts at its smallest arc.
-    Since a name is the smallest arc of its run, a sublink of a sublink is
-    the sublink of the union runs, and ``sublink(sublink(d, A), B')`` equals
-    ``sublink(d, B)`` whenever B' indexes B within A.  A kept component
-    that no kept crossing reads, a marker or a loop whose crossings all
-    vanished, gets ``()``.
+    Each kept component's arc cycle is walked once, from the strand index,
+    starting at the run of arcs that holds its first arc.  A run of arcs
+    between two kept crossings becomes one fused arc, and the runs are
+    numbered 1, 2, ... in walk order, component after component: the
+    position numbering of ``canonical_key``.  Runs of a sublink are unions
+    of runs of d, and its first run holds d's first arc, so
+    ``sublink(sublink(d, A), B')`` equals ``sublink(d, B)`` whenever B'
+    indexes B within A.  A kept component that no kept crossing reads, a
+    marker or a loop whose crossings all vanished, gets ``()``.
     """
     keep = frozenset(keep)
     bad = keep - set(range(d.components))
     if bad:
         raise DiagramError(f"unknown component indices {sorted(bad)}")
-    pairs, walks = d._component_pairs(), d._strand_walks()
+    walks = d._strand_walks
     kept_comps = sorted(keep)
     name: dict[int, int] = {}
     component_arcs: list[tuple[int, ...]] = []
+    fused = 1
     for comp in kept_comps:
         walk = walks[comp]
-        for first, (_arc, met) in enumerate(walk):
-            if met in keep:
+        for last in range(len(walk) - 1, -1, -1):
+            if walk[last][1] in keep:
                 break
         else:
             component_arcs.append(())
             continue
-        # Start after a kept crossing, so that every run is whole.
-        cycle, run = [], []
-        for arc, met in walk[first + 1:] + walk[:first + 1]:
-            run.append(arc)
+        # The run after the last kept crossing holds the first arc.
+        first = fused
+        for arc, met in walk[last + 1:] + walk[:last + 1]:
+            name[arc] = fused
             if met in keep:
-                fused = min(run)
-                for x in run:
-                    name[x] = fused
-                cycle.append(fused)
-                run = []
-        i = cycle.index(min(cycle))
-        component_arcs.append(tuple(cycle[i:] + cycle[:i]))
+                fused += 1
+        component_arcs.append(tuple(range(first, fused)))
     kept = [
         ((name[a], name[b], name[c], name[e]), oi)
-        for (a, b, c, e), oi, (p, q) in zip(d.crossings, d.over_in, pairs)
+        for (a, b, c, e), oi, (p, q) in zip(d.crossings, d.over_in, d._component_pairs)
         if p in keep and q in keep
     ]
     crossings = tuple(cr for cr, _oi in kept)

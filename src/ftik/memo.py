@@ -1,11 +1,13 @@
 """The memo layer: every per-diagram value that ftik caches lives here.
 
-Each diagram table is keyed by a relabelling-invariant diagram key
-(``LinkDiagram.canonical_key``; the framed key for the surgery sums),
-extended by the derivative index where the value depends on it, so a hit
-returns exactly what a fresh computation would and every memoized
-function stays observably pure.  Only returned values are stored: a computation that
-raises leaves no entry behind.
+Each diagram table is keyed by ``LinkDiagram.canonical_key`` (the framed
+key for the surgery sums), extended by the derivative index where the
+value depends on it.  Equal keys mean equal diagrams up to arc names, so a
+hit returns exactly what a fresh computation would and every memoized
+function stays observably pure.  The key is invariant only under
+renamings that keep the order of arc ids, so the hit rate, not the
+values, depends on how a diagram's arcs are named.  Only returned values
+are stored: a computation that raises leaves no entry behind.
 
 Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
 alternating sublink sum, per split piece), ``inverse`` (the series

@@ -8,9 +8,8 @@ The state model has integer coefficients, so each weight is packed into
 one ``int`` with one wide digit per power of A^2 above its lowest
 A-exponent, and becomes an ``IntLaurent`` only once per piece.  A
 contraction step that leaves more than ``_STATE_BUDGET`` pairings alive
-raises ``ResourceLimitError``.  A naive 2^n state sum is kept alongside as
-an independent oracle.  The Jones polynomial follows the convention in
-which
+raises ``ResourceLimitError``.  The Jones polynomial follows the
+convention in which
 
     t V(L+) - t^{-1} V(L-) = (t^{1/2} - t^{-1/2}) V(L0),   V(unknot) = 1,
 
@@ -19,8 +18,8 @@ sign (-1)^(#components - 1).  The Conway polynomial is computed by a skein
 resolution tree that unknots diagrams towards descending form.
 
 Bracket pieces, Jones values and Conway polynomials are memoized in
-``ftik.memo`` by a relabelling-invariant diagram key, so every function
-here remains observably pure; a2 and psi2's a4 read one memoized Conway
+``ftik.memo`` by ``LinkDiagram.canonical_key``, so every function here
+remains observably pure; a2 and psi2's a4 read one memoized Conway
 polynomial.
 """
 
@@ -31,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, count
 
 from . import memo
-from .diagram import LinkDiagram, _UnionFind, smooth_crossing, switch_crossing
+from .diagram import LinkDiagram, smooth_crossing, switch_crossing
 from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
@@ -57,8 +56,9 @@ def _contraction_plan(crossings: tuple) -> tuple[int, list]:
     active boundary stays small, and on ties the lowest index.  An arc takes
     a free slot at its first end and gives it back after the crossing at its
     second end.  ``opened`` counts the open arcs at each crossing and moves
-    with every slot taken or given back; ``levels[k]`` is a heap of the
-    crossings counted k when pushed, and entries gone stale are skipped.
+    with every slot taken or given back.  One heap holds (-count, index)
+    entries, one pushed per change, so its smallest live entry is the next
+    pick; entries gone stale are skipped.
     Returns the slot count and, per step, both smoothings as (slot joins,
     A-shift)."""
     n = len(crossings)
@@ -68,19 +68,15 @@ def _contraction_plan(crossings: tuple) -> tuple[int, list]:
             ends.setdefault(arc, []).append(i)
     opened = [0] * n
     done = [False] * n
-    levels: list[list[int]] = [list(range(n)), [], [], [], []]
+    heap = [(0, i) for i in range(n)]
     slot_of: dict[int, int] = {}
     free: list[int] = []
     fresh = count()
     plan = []
     for _step in range(n):
-        for k in range(4, -1, -1):
-            heap = levels[k]
-            while heap and (done[heap[0]] or opened[heap[0]] != k):
-                heapq.heappop(heap)
-            if heap:
-                best = heapq.heappop(heap)
-                break
+        neg, best = heapq.heappop(heap)
+        while done[best] or opened[best] != -neg:
+            neg, best = heapq.heappop(heap)
         done[best] = True
         slots, released = [], []
         for arc in crossings[best]:
@@ -95,7 +91,7 @@ def _contraction_plan(crossings: tuple) -> tuple[int, list]:
             for i in ends[arc]:
                 if not done[i]:
                     opened[i] += change
-                    heapq.heappush(levels[opened[i]], i)
+                    heapq.heappush(heap, (-opened[i], i))
         # Not reusable before the next crossing: a smoothing may join a new
         # arc before it reads the arc that closed here.
         free += released
@@ -199,34 +195,6 @@ def kauffman_bracket(d: LinkDiagram) -> IntLaurent:
                 "bracket", piece.canonical_key(), _contract_piece, piece
             )
     return result * _DELTA ** (len(pieces) - 1)
-
-
-def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
-    """Independent 2^n state-sum evaluation of the bracket."""
-    if d.components == 0:
-        raise ValueError("empty diagram")
-    n = len(d.crossings)
-    arcs = {x for cr in d.crossings for x in cr}
-    # Number of states per (A-exponent, loop count), summed up at the end.
-    tally: dict[tuple[int, int], int] = {}
-    for bits in range(1 << n):
-        uf = _UnionFind()
-        exponent = 0
-        for i, (a, b, c, e) in enumerate(d.crossings):
-            if bits >> i & 1:
-                uf.join(a, b)
-                uf.join(c, e)
-                exponent += 1
-            else:
-                uf.join(a, e)
-                uf.join(b, c)
-                exponent -= 1
-        loops = len({uf.find(x) for x in arcs}) + d.unknotted_components
-        tally[exponent, loops] = tally.get((exponent, loops), 0) + 1
-    total = IntLaurent.zero()
-    for (exponent, loops), count in tally.items():
-        total = total + _DELTA ** (loops - 1) * IntLaurent.monomial(exponent, count)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ library walks each kept strand once instead.  ``contraction_plan_rescored``
 plans the bracket contraction by rescoring every remaining crossing at
 each step; the library keeps a running count of open arcs per crossing.
 
+``kauffman_bracket_naive`` sums the bracket over all 2^n states, tracing
+each state's loops in a union-find; the library contracts split pieces
+crossing by crossing and merges states.
+
 ``contract_piece_dict`` contracts a bracket piece on the library's plan and
 state tuples, but keeps each state's weight as a ``dict`` from A-exponent
 to coefficient; the library packs each weight into one integer.
@@ -151,7 +155,7 @@ def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:
     renamed to its union-find root, and each successor cycle of the kept
     crossings goes to the component of its first arc."""
     keep = frozenset(keep)
-    comp_of = d.arc_to_component
+    comp_of = {a: c for c, arcs in enumerate(d.component_arcs) for a in arcs}
     uf = _UnionFind()
     kept: list[tuple[Crossing, int]] = []
     for cr, oi in zip(d.crossings, d.over_in):
@@ -173,3 +177,31 @@ def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:
         component_arcs[index[comp_of[cycle[0]]]] = cycle
     framings = tuple(d.framings[comp] for comp in kept_comps)
     return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
+
+
+def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:
+    """Independent 2^n state-sum evaluation of the bracket."""
+    if d.components == 0:
+        raise ValueError("empty diagram")
+    n = len(d.crossings)
+    arcs = {x for cr in d.crossings for x in cr}
+    # Number of states per (A-exponent, loop count), summed up at the end.
+    tally: dict[tuple[int, int], int] = {}
+    for bits in range(1 << n):
+        uf = _UnionFind()
+        exponent = 0
+        for i, (a, b, c, e) in enumerate(d.crossings):
+            if bits >> i & 1:
+                uf.join(a, b)
+                uf.join(c, e)
+                exponent += 1
+            else:
+                uf.join(a, e)
+                uf.join(b, c)
+                exponent -= 1
+        loops = len({uf.find(x) for x in arcs}) + d.unknotted_components
+        tally[exponent, loops] = tally.get((exponent, loops), 0) + 1
+    total = IntLaurent.zero()
+    for (exponent, loops), states in tally.items():
+        total = total + _DELTA ** (loops - 1) * IntLaurent.monomial(exponent, states)
+    return total

@@ -139,6 +139,36 @@ def test_canonical_key_kept_on_the_diagram():
     assert d.canonical_key(include_framings=True)[: len(key)] == key
 
 
+def assert_key_reads_the_position_numbering(d):
+    # The full sublink numbers the arcs 1..N in component order, and the
+    # key's body is its sorted crossings; renaming the arcs in an
+    # order-keeping way leaves the key alone.
+    full = sublink(d, range(d.components))
+    arcs = [a for cycle in full.component_arcs for a in cycle]
+    assert arcs == list(range(1, len(arcs) + 1))
+    assert tuple(sorted(zip(full.crossings, full.over_in))) == d.canonical_key()[0]
+    renamed = LinkDiagram(
+        tuple(tuple(2 * x + 7 for x in cr) for cr in d.crossings),
+        d.over_in,
+        tuple(tuple(2 * a + 7 for a in cycle) for cycle in d.component_arcs),
+        d.framings,
+    )
+    assert renamed.validate() == []
+    assert renamed.canonical_key(True) == d.canonical_key(True)
+
+
+def test_canonical_key_is_the_position_numbering_on_the_catalog():
+    for entry in catalog.entries():
+        for d in (entry.diagram, parallel(entry.diagram, 2)):
+            assert_key_reads_the_position_numbering(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_closures)
+def test_canonical_key_is_the_position_numbering_on_closures(d):
+    assert_key_reads_the_position_numbering(d)
+
+
 def test_switch_crossing_changes_sign():
     d = catalog.get("trefoil-right").diagram
     s = switch_crossing(d, 0)
@@ -177,8 +207,8 @@ closures_and_cables = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(closures_and_cables)
 def test_sublink_of_a_sublink_is_a_sublink(d):
-    # Fused arcs are named by their smallest member, so the law holds as
-    # exact dataclass equality, arc names included.
+    # Fused arcs are numbered in walk order from each component's first
+    # arc, so the law holds as exact dataclass equality, arc names included.
     for a in subsets(d.components):
         sub = sublink(d, a)
         for b in subsets(len(a)):
@@ -200,13 +230,6 @@ def test_sublink_matches_the_union_find_oracle(d):
             jones_fast = jones(fast)
             memo.clear()
             assert jones(slow) == jones_fast, keep
-
-
-def test_arc_to_component_is_a_fresh_dict():
-    d = catalog.get("borromean").diagram
-    d.arc_to_component.clear()
-    assert len(d.arc_to_component) == 2 * len(d.crossings)
-    assert d.linking_matrix() == [[0] * 3 for _ in range(3)]
 
 
 def test_disjoint_union():
@@ -308,7 +331,7 @@ def test_from_pd_infers_the_braid_orientation(d, mirrored):
     # wherever a component passes under somewhere; a component that only
     # passes over gets a fixed one, which must still be consistent.
     d = mirror(d) if mirrored else d
-    comp_of = d.arc_to_component
+    comp_of = {a: c for c, arcs in enumerate(d.component_arcs) for a in arcs}
     passes_under = {comp_of[cr[0]] for cr in d.crossings}
     rebuilt = LinkDiagram.from_pd(d.crossings, d.framings, d.unknotted_components)
     if all(c in passes_under for c, arcs in enumerate(d.component_arcs) if arcs):

@@ -182,6 +182,11 @@ def test_phi1_equals_six_a2():
                  "borromean"):
         d = catalog.get(name).diagram
         assert jones_sublink_weight(d, 1) == 6 * conway_a2(d), name
+    # Non-split ASLs with 3 and 4 components; chain 5's Conway tree
+    # exceeds the node budget.
+    for n in (3, 4):
+        d = chain(n).diagram
+        assert jones_sublink_weight(d, 1) == 6 * conway_a2(d), n
 
 
 def test_sublink_alternating_series_factored_matches_naive():
@@ -311,6 +316,22 @@ def test_lambda2_presentation_independence_whitehead():
     assert ohtsuki_lambda2(framed("whitehead", (-1, -1))) == ohtsuki_lambda2(
         framed("figure-eight", (-1,))
     )
+
+
+@pytest.mark.parametrize("name, most", [("whitehead-plus1", 6), ("borromean-plus1", 16)])
+def test_lambda2_contracts_few_bracket_pieces(monkeypatch, name, most):
+    # Memo hits depend on how sublinks name their arcs: numbering each fused
+    # run by its last arc instead of in walk order doubles these counts.
+    contracted = []
+    contract = skein._contract_piece
+
+    def counted(d):
+        contracted.append(d)
+        return contract(d)
+
+    monkeypatch.setattr(skein, "_contract_piece", counted)
+    ohtsuki_lambda2(catalog.presentation(name))
+    assert len(contracted) <= most
 
 
 def test_jones_exp_derivatives_frozen():

@@ -15,6 +15,7 @@ from ftik.diagram import (
 )
 from ftik.fintype import CASSON, LAMBDA1, difference_sum
 from ftik.invariants import (
+    casson_invariant,
     jones_exp_derivative,
     ohtsuki_lambda2,
     sublink_alternating_series,
@@ -88,14 +89,15 @@ def test_difference_sums_vanish_exhaustively_from_four_components():
         assert difference_sum(LAMBDA1, sp) == 0, entry.name
 
 
-def jones_and_lambda2(d):
-    """Jones polynomial and, on an algebraically split link, lambda2 with
-    every framing +1, from a cold memo."""
+def markov_invariants(d):
+    """Jones and Conway polynomials and, on an algebraically split link,
+    lambda2 and Casson with every framing +1, from a cold memo."""
     memo.clear()
+    polynomials = (jones(d), conway(d))
     if not is_algebraically_split(d):
-        return jones(d), None
-    return jones(d), ohtsuki_lambda2(
-        SurgeryPresentation(with_framings(d, (1,) * d.components)))
+        return polynomials
+    sp = SurgeryPresentation(with_framings(d, (1,) * d.components))
+    return polynomials + (ohtsuki_lambda2(sp), casson_invariant(sp))
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,7 +107,7 @@ def test_markov_moves_keep_jones_and_lambda2(word, turn, g, sign):
     strands, letters = word
     turn %= len(letters)
     g %= strands - 1
-    want = jones_and_lambda2(closed_braid(strands, letters))
+    want = markov_invariants(closed_braid(strands, letters))
     # Markov conjugation: rotating the word, and wrapping it in a letter and
     # its inverse.  Markov stabilization: a letter that crosses the last
     # strand with a new one.
@@ -115,4 +117,4 @@ def test_markov_moves_keep_jones_and_lambda2(word, turn, g, sign):
         closed_braid(strands + 1, letters + [(strands - 1, sign)]),
     )
     for d in moved:
-        assert jones_and_lambda2(d) == want
+        assert markov_invariants(d) == want

@@ -28,13 +28,13 @@ from ftik.skein import (
     jones,
     jones_series,
     kauffman_bracket,
-    kauffman_bracket_naive,
 )
 from oracles import (
     braid_closures,
     braid_words,
     contract_piece_dict,
     contraction_plan_rescored,
+    kauffman_bracket_naive,
 )
 
 # Frozen Jones values in doubled (half-integer) exponents: {2k: c} == c t^k.
