@@ -18,7 +18,8 @@ Exit codes:
   computation works out its own orders and denominators from its input,
   so this is a bug, not malformed input.
 * 4 -- a resource limit was hit (the Conway resolution node budget or
-  recursion depth, or the bracket contraction state budget).
+  recursion depth, the bracket contraction state budget, or a surgery
+  sum over more than 10^6 sublinks).
 """
 
 from __future__ import annotations

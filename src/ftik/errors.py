@@ -40,5 +40,5 @@ class DiagramError(FtikError, ValueError):
 
 class ResourceLimitError(FtikError):
     """An exponential stage exceeded its budget: the Conway resolution
-    node budget or recursion depth, or the bracket contraction state
-    budget."""
+    node budget or recursion depth, the bracket contraction state budget,
+    or the sublink budget of a surgery sum."""

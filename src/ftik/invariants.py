@@ -10,7 +10,10 @@ where f is the product of framings, L^2 is the 0-framed 2-parallel, the
 inner weights phi_i are scaled derivatives at t = 1 of the alternating
 sublink sum of the normalized Jones polynomial
 X = V / (t^{1/2} + t^{-1/2})^(#L - 1), and s2 counts components taken with
-both copies.  The Casson invariant reads the same phi_1 weights:
+both copies.  Copy 0 of each kept component gives back the sublink itself,
+sublink(L^2, [2c for c in keep]) == sublink(L, keep), so both sums run in
+one loop over the sub-cables.  The Casson invariant reads the same phi_1
+weights:
 
     lambda_C(S^3_L) = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
 
@@ -40,13 +43,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable
 
 from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
-from .errors import DiagramError
+from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, TruncSeries, compose_exp_minus_one, laurent_to_series
-from .skein import HALF_SUM, conway, jones, jones_series
+from .skein import _SUBLINK_BUDGET, HALF_SUM, conway, jones, jones_series
 
 clear_caches = memo.clear
 
@@ -98,15 +100,14 @@ def _alternating_jones(d: LinkDiagram) -> HalfLaurent:
 
     P is s^(#L - 1) times the alternating sum of X, so it has integer
     coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
-    gives P(L1 u L2) = s P(L1) P(L2), so P is taken per split piece and
-    memoized by piece; an unknot piece has P = V(O) - 1 = 0.
+    gives P(L1 u L2) = s P(L1) P(L2), so P is taken per split piece, a
+    sublink memoized by its key; an unknot piece has P = V(O) - 1 = 0.
     """
     pieces = d.split_pieces()
-    if len(pieces) == 1:
-        return memo.lookup("alt", d.canonical_key(), _alternating_jones_piece, d)
     total = HALF_SUM ** (len(pieces) - 1)
     for comps, _indices in pieces:
-        total = total * _alternating_jones(sublink(d, comps))
+        piece = d if len(pieces) == 1 else sublink(d, comps)
+        total = total * memo.lookup("alt", piece.canonical_key(), _alternating_jones_piece, piece)
         if total.is_zero():
             break
     return total
@@ -138,7 +139,8 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     n = d.components
     needed = n + i
     if n == 0:
-        return sublink_alternating_series(d, needed).coeff(needed)
+        # The alternating sum of the empty link is the constant series 1.
+        return Fraction(int(i == 0))
     p_coeffs = laurent_to_series(_alternating_jones(d), needed).coeffs
     inverse = _inverse_denominator(n, needed).coeffs
     return (-2) ** n * sum(p_coeffs[k] * inverse[needed - k] for k in range(needed + 1))
@@ -147,24 +149,23 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     """lambda_C = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
 
-    The phi table is the one lambda2's first sum reads, so either sum
-    leaves the other only the framings to apply.
+    These sublinks are lambda2's copy-0 sub-cables, so the phi table is the
+    one lambda2 fills: either sum leaves the other only the framings.
     """
-    return memo.lookup("casson", sp.canonical_key(), _framed_sublink_sum, sp.diagram,
-                       lambda sub: jones_sublink_weight(sub, 1) / 6)
+    return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
 
 
-def _framed_sublink_sum(d: LinkDiagram, weight: Callable[[LinkDiagram], Fraction]) -> Fraction:
-    """Sum over nonempty sublinks L' of f(L') weight(L'), with f the
-    product of the framings of L'."""
+def _casson_sum(d: LinkDiagram) -> Fraction:
     n = d.components
+    if 2 ** n - 1 > _SUBLINK_BUDGET:
+        raise ResourceLimitError(f"casson sum over {2 ** n - 1} sublinks exceeds "
+                                 f"the budget of {_SUBLINK_BUDGET}")
     total = Fraction(0)
     for size in range(1, n + 1):
         for keep in combinations(range(n), size):
-            w = weight(sublink(d, keep))
-            if w != 0:
-                total += math.prod(d.framings[c] for c in keep) * w
-    return total
+            phi1 = jones_sublink_weight(sublink(d, keep), 1)
+            total += math.prod(d.framings[c] for c in keep) * phi1
+    return total / 6
 
 
 def ohtsuki_lambda1(sp: SurgeryPresentation) -> Fraction:
@@ -173,31 +174,35 @@ def ohtsuki_lambda1(sp: SurgeryPresentation) -> Fraction:
 
 
 def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
-    """The order-6 invariant via the two-part surgery formula.
-
-    The first sum runs over nonempty sublinks of L (the empty term carries
-    the factor #L'/2 = 0 anyway); the second over sublinks of the 0-framed
-    2-parallel, indexed by tuples in {0,1,2}^#L recording how many copies
-    of each component are taken.  Framings of copies are inherited, so a
-    doubled component contributes its framing squared.
+    """The order-6 invariant via the two-part surgery formula, in one loop
+    over the sublinks of the 0-framed 2-parallel, indexed by tuples in
+    {0,1,2}^#L recording how many copies of each component are taken; a
+    doubled component contributes its framing squared.  A tuple without a
+    2 takes copy 0 of each kept component, and that sub-cable equals the
+    sublink of L on those components (the copy-0 identity), so it also
+    carries the first sum's phi_1 term.
     """
     return memo.lookup("lambda2", sp.canonical_key(), _lambda2_sum, sp.diagram)
 
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
     n = d.components
-    total = _framed_sublink_sum(
-        d, lambda sub: jones_sublink_weight(sub, 1) * Fraction(sub.components, 2))
-    if n > 0:
-        cable = parallel(d, 2)
-        for counts in product((0, 1, 2), repeat=n):
-            if not any(counts):
-                continue
-            circles = [2 * comp + j for comp, k in enumerate(counts) for j in range(k)]
-            f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
-            phi2 = jones_sublink_weight(sublink(cable, circles), 2)
-            if phi2 != 0:
-                total += phi2 * f * Fraction(1, 2 ** counts.count(2))
+    if 3 ** n - 1 > _SUBLINK_BUDGET:
+        raise ResourceLimitError(f"lambda2 sum over {3 ** n - 1} sub-cables exceeds "
+                                 f"the budget of {_SUBLINK_BUDGET}")
+    cable = parallel(d, 2)
+    total = Fraction(0)
+    for counts in product((0, 1, 2), repeat=n):
+        if not any(counts):
+            continue
+        sub = sublink(cable, [2 * comp + j for comp, k in enumerate(counts) for j in range(k)])
+        f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
+        # Most phi_2 vanish; Fraction arithmetic on them would dominate the loop.
+        phi2 = jones_sublink_weight(sub, 2)
+        if phi2 != 0:
+            total += phi2 * f / 2 ** counts.count(2)
+        if 2 not in counts:
+            total += jones_sublink_weight(sub, 1) * f * Fraction(sub.components, 2)
     return total
 
 

@@ -1,7 +1,8 @@
 """Diagram polynomials: Kauffman bracket, Jones polynomial, Conway polynomial.
 
-The bracket is evaluated by contracting crossings one at a time in an
-order planned once per piece.  The plan gives every open arc a fixed slot,
+The bracket is evaluated per split piece, which is a sublink of the
+diagram, by contracting crossings one at a time in an order planned once
+per piece.  The plan gives every open arc a fixed slot,
 and a state is the tuple that pairs the open slots; states that reach the
 same pairing are merged, which is what makes cable diagrams tractable.
 The state model has integer coefficients, so each weight is packed into
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, count
 
 from . import memo
-from .diagram import LinkDiagram, smooth_crossing, switch_crossing
+from .diagram import LinkDiagram, smooth_crossing, sublink, switch_crossing
 from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
@@ -39,6 +40,9 @@ _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
 
 # Most boundary pairings one contraction step may leave alive.
 _STATE_BUDGET = 10**6
+
+# Most sublinks one surgery sum may walk (3^#L - 1 lambda2, 2^#L - 1 Casson).
+_SUBLINK_BUDGET = 10**6
 
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.
 HALF_SUM = HalfLaurent.from_dict({1: 1, -1: 1})
@@ -178,23 +182,21 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
 def kauffman_bracket(d: LinkDiagram) -> IntLaurent:
     """Exact bracket polynomial in A, normalized with <unknot> = 1.
 
-    Split pieces are contracted independently and multiplied, with one loop
-    factor -A^2 - A^(-2) per extra piece or bare unknot component.
+    Split pieces, each ``sublink(d, comps)`` or d itself when d has one,
+    are contracted independently and multiplied, with one loop factor
+    -A^2 - A^(-2) per extra piece or bare unknot component.
     """
     if d.components == 0:
         raise ValueError("the bracket of the empty diagram is handled one level up")
     pieces = d.split_pieces()
-    result = IntLaurent.one()
-    for _comps, indices in pieces:
+    result = _DELTA ** (len(pieces) - 1)
+    for comps, indices in pieces:
         if indices:
-            piece = LinkDiagram.assemble(
-                tuple(d.crossings[i] for i in indices),
-                tuple(d.over_in[i] for i in indices),
-            )
+            piece = d if len(pieces) == 1 else sublink(d, comps)
             result = result * memo.lookup(
                 "bracket", piece.canonical_key(), _contract_piece, piece
             )
-    return result * _DELTA ** (len(pieces) - 1)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from ftik import catalog
 import ftik.fintype
+import ftik.invariants
 import ftik.skein
 from ftik.cli import (
     EXIT_BAD_INPUT,
@@ -264,6 +265,24 @@ def test_framing_count_is_checked_before_markers_are_built(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
     assert "expected 1000001 framings, got 1" in err
     assert peak < 5 * 2**20
+
+
+def test_lambda2_sublink_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # lambda2 on 13 components would walk 3^13 - 1 sub-cables, past the
+    # budget of 10^6, so it stops before it builds the 2-parallel.
+    doc = {"name": "unlink-13", "components": 13, "framings": [1] * 13,
+           "crossings": [], "unknotted_components": 13}
+    path = tmp_path / "unlink-13.json"
+    path.write_text(json.dumps(doc))
+
+    def no_cable(d, m):
+        raise AssertionError("the 2-parallel was built")
+
+    monkeypatch.setattr(ftik.invariants, "parallel", no_cable)
+    code, out, err = run(capsys, "compute", "--invariant", "lambda2",
+                         "--link", str(path))
+    assert (code, out) == (EXIT_RESOURCE_LIMIT, "")
+    assert err.startswith("error:") and "1594322 sub-cables" in err
 
 
 def test_bracket_state_budget_exits_4(capsys, monkeypatch):

@@ -215,6 +215,27 @@ def test_sublink_of_a_sublink_is_a_sublink(d):
             assert sublink(sub, b) == sublink(d, [a[i] for i in b]), (a, b)
 
 
+def assert_copy_zero_is_the_sublink(d):
+    # lambda2 reads each phi_1 term off the 2-parallel on this identity.
+    cable = parallel(d, 2)
+    for keep in subsets(d.components):
+        assert sublink(cable, [2 * c for c in keep]) == sublink(d, keep), keep
+
+
+def test_copy_zero_sub_cable_is_the_sublink_on_the_catalog():
+    for entry in catalog.entries():
+        assert_copy_zero_is_the_sublink(entry.diagram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    braid_closures,
+    st.tuples(braid_closures, braid_closures).map(lambda ds: disjoint_union(*ds)),
+))
+def test_copy_zero_sub_cable_is_the_sublink_on_closures(d):
+    assert_copy_zero_is_the_sublink(d)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(
     braid_closures,

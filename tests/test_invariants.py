@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftik import catalog, memo, skein
+from ftik import catalog, invariants, memo, skein
 from ftik.diagram import (
     LinkDiagram,
     SurgeryPresentation,
@@ -216,10 +216,11 @@ def test_sublink_weight_is_one_coefficient_of_the_naive_sum():
         diagrams += [sublink(cable, keep) for r in range(cable.components + 1)
                      for keep in combinations(range(cable.components), r)]
     for d in diagrams:
-        weights = [jones_sublink_weight(d, i) for i in (1, 2)]
+        orders = (0, 1, 2) if d is empty else (1, 2)
+        weights = [jones_sublink_weight(d, i) for i in orders]
         # The oracle computes its own X values instead of reading the memo.
         memo.clear()
-        assert weights == [weight_by_naive_sum(d, i) for i in (1, 2)], d
+        assert weights == [weight_by_naive_sum(d, i) for i in orders], d
 
 
 def test_memo_clear_empties_the_inverse_table():
@@ -332,6 +333,39 @@ def test_lambda2_contracts_few_bracket_pieces(monkeypatch, name, most):
     monkeypatch.setattr(skein, "_contract_piece", counted)
     ohtsuki_lambda2(catalog.presentation(name))
     assert len(contracted) <= most
+
+
+@pytest.mark.parametrize("name", ["borromean-plus1", "whitehead-plus1"])
+def test_lambda2_takes_every_sublink_from_the_cable(monkeypatch, name):
+    # A sublink of L is the sub-cable of L's 2-parallel made of copy 0 of
+    # each kept component, so lambda2 never restricts L itself.
+    p = sp(name)
+    restricted = []
+
+    def spy(d, keep):
+        restricted.append(d is p.diagram)
+        return sublink(d, keep)
+
+    monkeypatch.setattr(invariants, "sublink", spy)
+    ohtsuki_lambda2(p)
+    assert restricted and not any(restricted)
+
+
+def test_alternating_jones_splits_a_diagram_once(monkeypatch):
+    d = catalog.get("trefoils-two-plus1").diagram
+    # The first call fills the alt and jones memos, so the second splits
+    # only what _alternating_jones itself splits.
+    value = invariants._alternating_jones(d)
+    split = []
+    original = LinkDiagram.split_pieces
+
+    def counted(self):
+        split.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LinkDiagram, "split_pieces", counted)
+    assert invariants._alternating_jones(d) == value
+    assert len(split) == 1 and split[0] is d
 
 
 def test_jones_exp_derivatives_frozen():

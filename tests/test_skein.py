@@ -17,6 +17,7 @@ from ftik.diagram import (
     mirror,
     parallel,
     smooth_crossing,
+    sublink,
     switch_crossing,
 )
 from ftik.errors import ResourceLimitError
@@ -32,6 +33,7 @@ from ftik.skein import (
 from oracles import (
     braid_closures,
     braid_words,
+    chain,
     contract_piece_dict,
     contraction_plan_rescored,
     kauffman_bracket_naive,
@@ -131,10 +133,10 @@ def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
 
 def split_pieces(d):
     """The one-piece diagrams that ``kauffman_bracket`` contracts for ``d``."""
-    for _comps, indices in d.split_pieces():
+    pieces = d.split_pieces()
+    for comps, indices in pieces:
         if indices:
-            yield LinkDiagram.assemble(tuple(d.crossings[i] for i in indices),
-                                       tuple(d.over_in[i] for i in indices))
+            yield d if len(pieces) == 1 else sublink(d, comps)
 
 
 def assert_kernels_agree(d):
@@ -176,6 +178,21 @@ def test_bracket_peak_states_on_cables(monkeypatch, name):
     monkeypatch.setattr(skein, "_STATE_BUDGET", peak)
     memo.clear()
     kauffman_bracket(cable)
+
+
+def test_bracket_pieces_are_sublinks(monkeypatch):
+    # Catalog diagrams include split unions with crossings in both pieces
+    # (trefoils-two) and with an unknot marker (borromean-unknot).
+    diagrams = [entry.diagram for entry in catalog.entries() if entry.diagram.components]
+    diagrams += [parallel(d, 2) for d in diagrams]
+    expected = [jones(d) for d in diagrams]
+
+    def no_assemble(cls, *args, **kwargs):
+        raise AssertionError("a bracket piece was assembled")
+
+    monkeypatch.setattr(LinkDiagram, "assemble", classmethod(no_assemble))
+    memo.clear()
+    assert [jones(d) for d in diagrams] == expected
 
 
 def test_bracket_hopf_value():
@@ -228,6 +245,43 @@ def test_conway_resolution_budget():
     d = catalog.get("borromean").diagram
     with pytest.raises(ResourceLimitError):
         conway(d, node_budget=2)
+
+
+def conway_nodes(d):
+    """The smallest node budget ``conway`` meets on d from a cold memo,
+    found by bisection."""
+    def meets(budget):
+        memo.clear()
+        try:
+            conway(d, node_budget=budget)
+        except ResourceLimitError:
+            return False
+        return True
+
+    low, high = 0, 1
+    while not meets(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid, high)
+    return high
+
+
+# Nodes of the Conway resolution tree.  The tree walks each component from
+# its smallest arc, so its size depends on how a diagram's arcs are named:
+# random renamings of T(3,5)'s arcs gave 149 to 881 smoothings, where
+# the names it is built with give 365.  Each smoothing adds two nodes.
+CONWAY_NODES = {"T(3,5)": 731, "chain 3": 127, "borromean": 43}
+
+
+@pytest.mark.parametrize("name", sorted(CONWAY_NODES))
+def test_conway_tree_size(name):
+    d = {
+        "T(3,5)": lambda: closed_braid(3, [(0, 1), (1, 1)] * 5),
+        "chain 3": lambda: chain(3).diagram,
+        "borromean": lambda: catalog.get("borromean").diagram,
+    }[name]()
+    assert conway_nodes(d) == CONWAY_NODES[name]
 
 
 def test_conway_a2_values():
