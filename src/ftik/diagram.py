@@ -24,8 +24,8 @@ _Pair = tuple[int, int]
 
 
 class _UnionFind:
-    """Union-find over arc or component ids, joined by size.  An id that
-    was never joined is its own singleton class."""
+    """Union-find over arc ids, joined by size.  An id that was never
+    joined is its own singleton class."""
 
     def __init__(self):
         self.parent: dict[int, int] = {}
@@ -208,23 +208,48 @@ class LinkDiagram:
                 )
         return out
 
+    @cached_property
+    def _adjacency(self) -> tuple[int, ...]:
+        """Per component, the bitmask of the other components it crosses."""
+        adjacency = [0] * self.components
+        for p, q in self._component_pairs:
+            if p != q:
+                adjacency[p] |= 1 << q
+                adjacency[q] |= 1 << p
+        return tuple(adjacency)
+
+    def piece_masks(self, mask: int) -> list[int]:
+        """The split pieces of ``sublink(self, comps)``, where bit c of
+        ``mask`` keeps component c, as component bitmasks of self ordered
+        by smallest component.  A sublink keeps exactly the crossings
+        between kept components, so its pieces are the connected parts of
+        the kept components in the crossing adjacency."""
+        adjacency = self._adjacency
+        pieces = []
+        while mask:
+            piece = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adjacency[low.bit_length() - 1] & mask & ~piece
+                piece |= grown
+                frontier |= grown
+            pieces.append(piece)
+            mask &= ~piece
+        return pieces
+
     def split_pieces(self) -> list[tuple[list[int], list[int]]]:
         """The split pieces as (component indices, crossing indices) pairs,
         ordered by smallest component.  Two components share a piece when a
         chain of crossings connects them; an unknot marker is a piece of its
         own with no crossings."""
-        pairs = self._component_pairs
-        uf = _UnionFind()
-        for p, q in pairs:
-            if p != q:
-                uf.join(p, q)
-        roots = [uf.find(c) for c in range(self.components)]
-        pieces: dict[int, tuple[list[int], list[int]]] = {}
-        for comp, root in enumerate(roots):
-            pieces.setdefault(root, ([], []))[0].append(comp)
-        for i, (p, _q) in enumerate(pairs):
-            pieces[roots[p]][1].append(i)
-        return list(pieces.values())
+        n = self.components
+        pieces = [([c for c in range(n) if mask >> c & 1], [])
+                  for mask in self.piece_masks((1 << n) - 1)]
+        piece_of = {c: piece for piece in pieces for c in piece[0]}
+        for i, (p, _q) in enumerate(self._component_pairs):
+            piece_of[p][1].append(i)
+        return pieces
 
     # -- linking data -------------------------------------------------------
 

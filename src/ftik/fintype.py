@@ -72,10 +72,15 @@ INVARIANTS = {
 def difference_sum(
     invariant: InvariantFunction, sp: SurgeryPresentation
 ) -> Fraction:
-    """Alternating sum of lambda over all 2^#L sub-presentations."""
+    """Alternating sum of lambda over all 2^#L sub-presentations.
+
+    The sub-presentations are walked from the largest down, so an
+    invariant whose own budget refuses the whole presentation raises
+    before any smaller one is evaluated.
+    """
     n = sp.diagram.components
     total = Fraction(0)
-    for size in range(n + 1):
+    for size in range(n, -1, -1):
         sign = (-1) ** size
         for keep in combinations(range(n), size):
             value = invariant(sp.sub_presentation(keep))

@@ -36,6 +36,23 @@ as far as its formula reads it: order #L + i for phi_i and i for v_i.
 phi_i reads one coefficient of P / s^(#L - 1), so it convolves the
 expansion of P with the inverse of s^(#L - 1), which is memoized per
 (#L, order), and forms only that coefficient.
+
+Both surgery sums read a split sublink's weights off its pieces instead of
+building it.  V(L1 u L2) = s V(L1) V(L2) gives P(L1 u L2) = s P(L1) P(L2),
+so P / s^(#L - 1) is the product over the pieces L_k of
+P_k / s^(#L_k - 1).  On an algebraically split link each factor vanishes
+through u^(#L_k), where u = t - 1, so the product vanishes through
+u^(#L + pieces - 1).  phi_i reads its u^(#L + i) coefficient times
+(-2)^#L, the product of the pieces' (-2)^(#L_k); so on an algebraically
+split link
+
+    phi_1 = 0 on every split link,
+    phi_2(L1 u L2) = phi_1(L1) phi_1(L2) for two pieces,
+    phi_2 = 0 for three or more pieces.
+
+Every sublink of an algebraically split link, and every sub-cable of its
+0-framed 2-parallel, is algebraically split again, so the rule holds on
+everything the sums walk.  Only connected sublinks are built and weighed.
 """
 
 from __future__ import annotations
@@ -146,11 +163,46 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     return (-2) ** n * sum(p_coeffs[k] * inverse[needed - k] for k in range(needed + 1))
 
 
+class _SublinkWeights:
+    """phi_1 and phi_2 of the sublinks of one algebraically split diagram,
+    addressed by component bitmask (bit c keeps component c), for one
+    surgery sum.
+
+    A connected sublink is built once, kept under its mask and weighed
+    through the ``phi`` memo.  A split one is never built: its pieces come
+    from ``LinkDiagram.piece_masks`` and the split rule of the module
+    docstring gives its weight.
+    """
+
+    def __init__(self, d: LinkDiagram):
+        self._d = d
+        self._connected: dict[int, LinkDiagram] = {}
+
+    def __call__(self, mask: int, i: int) -> Fraction:
+        pieces = self._d.piece_masks(mask)
+        if len(pieces) == 1:
+            return jones_sublink_weight(self._piece(mask), i)
+        if i == 2 and len(pieces) == 2:
+            first, second = pieces
+            return (jones_sublink_weight(self._piece(first), 1)
+                    * jones_sublink_weight(self._piece(second), 1))
+        return Fraction(0)
+
+    def _piece(self, mask: int) -> LinkDiagram:
+        piece = self._connected.get(mask)
+        if piece is None:
+            comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
+            piece = self._connected[mask] = sublink(self._d, comps)
+        return piece
+
+
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     """lambda_C = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
 
     These sublinks are lambda2's copy-0 sub-cables, so the phi table is the
-    one lambda2 fills: either sum leaves the other only the framings.
+    one lambda2 fills: either sum leaves the other only the framings.  A
+    split sublink has phi_1 = 0 (the split rule of the module docstring),
+    so only the connected ones are built.
     """
     return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
 
@@ -160,11 +212,12 @@ def _casson_sum(d: LinkDiagram) -> Fraction:
     if 2 ** n - 1 > _SUBLINK_BUDGET:
         raise ResourceLimitError(f"casson sum over {2 ** n - 1} sublinks exceeds "
                                  f"the budget of {_SUBLINK_BUDGET}")
+    weights = _SublinkWeights(d)
     total = Fraction(0)
-    for size in range(1, n + 1):
-        for keep in combinations(range(n), size):
-            phi1 = jones_sublink_weight(sublink(d, keep), 1)
-            total += math.prod(d.framings[c] for c in keep) * phi1
+    for mask in range(1, 1 << n):
+        phi1 = weights(mask, 1)
+        if phi1 != 0:
+            total += math.prod(d.framings[c] for c in range(n) if mask >> c & 1) * phi1
     return total / 6
 
 
@@ -181,6 +234,12 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
     2 takes copy 0 of each kept component, and that sub-cable equals the
     sublink of L on those components (the copy-0 identity), so it also
     carries the first sum's phi_1 term.
+
+    Most sub-cables are split.  The split rule of the module docstring
+    gives their weights from the phi_1 of their connected pieces: nothing
+    for three or more pieces, phi_1 = 0 and phi_2 the product of the two
+    pieces' phi_1 for two.  Only connected sub-cables are built, each once
+    per call.
     """
     return memo.lookup("lambda2", sp.canonical_key(), _lambda2_sum, sp.diagram)
 
@@ -190,19 +249,19 @@ def _lambda2_sum(d: LinkDiagram) -> Fraction:
     if 3 ** n - 1 > _SUBLINK_BUDGET:
         raise ResourceLimitError(f"lambda2 sum over {3 ** n - 1} sub-cables exceeds "
                                  f"the budget of {_SUBLINK_BUDGET}")
-    cable = parallel(d, 2)
+    weights = _SublinkWeights(parallel(d, 2))
     total = Fraction(0)
     for counts in product((0, 1, 2), repeat=n):
         if not any(counts):
             continue
-        sub = sublink(cable, [2 * comp + j for comp, k in enumerate(counts) for j in range(k)])
-        f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
-        # Most phi_2 vanish; Fraction arithmetic on them would dominate the loop.
-        phi2 = jones_sublink_weight(sub, 2)
-        if phi2 != 0:
-            total += phi2 * f / 2 ** counts.count(2)
-        if 2 not in counts:
-            total += jones_sublink_weight(sub, 1) * f * Fraction(sub.components, 2)
+        # Copies 2 comp and 2 comp + 1 of the cable run beside component comp.
+        mask = sum(((1 << k) - 1) << 2 * comp for comp, k in enumerate(counts))
+        phi2 = weights(mask, 2)
+        phi1 = weights(mask, 1) if 2 not in counts else 0
+        # Most weights vanish; Fraction arithmetic on them would dominate the loop.
+        if phi2 != 0 or phi1 != 0:
+            f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
+            total += phi2 * f / 2 ** counts.count(2) + phi1 * f * Fraction(mask.bit_count(), 2)
     return total
 
 

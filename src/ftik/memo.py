@@ -13,7 +13,10 @@ Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
 alternating sublink sum, per split piece), ``inverse`` (the series
 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed by (#L, order) rather
 than by a diagram), ``conway`` (read by ``a2`` and ``psi2`` alike),
-``phi`` (sublink weights), ``casson`` and ``lambda2``.
+``phi`` (sublink weights: the surgery sums store connected sublinks only,
+since they read a split one's weights off its pieces; the ``phi1`` and
+``phi2`` rows store whatever diagram they are given), ``casson`` and
+``lambda2``.
 """
 
 from __future__ import annotations

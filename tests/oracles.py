@@ -4,15 +4,26 @@
 ``max_strands`` strands and 1 to ``max_size`` letters; its closures have one
 crossing per letter.
 
-``chain(n)`` is the closure of the n-strand pure braid
-prod_{p=0}^{n-3} [A_(p,p+1), A_(p+1,p+2)] with A_(p,p+1) = sigma_p^2, all
-framings +1.  It has 8(n - 2) crossings, its pairwise linking numbers
-vanish, it is not split, and removing an end component leaves chain n - 1.
+``graph_link(strands, triples)`` is the closure of the pure braid
+prod over (i, j, k) of [A_ij, A_jk], with A_ij = sigma_(j-1) ... sigma_(i+1)
+sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1 on strands i < j, all framings
++1.  Its components play the edges of a graph and the triples its
+vertices; every commutator keeps the pairwise linking numbers 0.
+``chain(n)`` is the graph link of the triples (p, p+1, p+2): it has
+8(n - 2) crossings, it is not split, and removing an end component leaves
+chain n - 1.
 
 ``hoste_casson`` is Hoste's surgery formula, the sum of f(L') a2(L') over
 nonempty sublinks, with a2 read from the Conway resolution tree.  The
 library sums phi_1 / 6 on the Jones side instead, so the two are
 independent engines for the Casson invariant.
+
+``lambda2_every_subcable`` is lambda2's surgery sum with every sub-cable of
+the 2-parallel built and weighed whole; the library reads a split
+sub-cable's weights off its connected pieces instead.
+
+``split_pieces_union_find`` joins the components of each crossing in a
+union-find; the library grows each piece over a bitmask adjacency.
 
 ``sublink_union_find`` restricts a diagram to some components by joining
 the fused arcs in a union-find and re-tracing the successor cycles; the
@@ -31,7 +42,7 @@ to coefficient; the library packs each weight into one integer.
 
 import math
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 
 from hypothesis import strategies as st
 
@@ -42,10 +53,12 @@ from ftik.diagram import (
     _cycles,
     _UnionFind,
     closed_braid,
+    parallel,
     sublink,
     with_framings,
 )
 from ftik.errors import DiagramError
+from ftik.invariants import jones_sublink_weight
 from ftik.series import IntLaurent
 from ftik.skein import _DELTA, _contraction_plan, conway_a2
 
@@ -61,11 +74,26 @@ def braid_words(max_strands: int, max_size: int):
 braid_closures = braid_words(4, 12).map(lambda w: closed_braid(*w))
 
 
-def chain(n: int) -> SurgeryPresentation:
+def pure_generator(i: int, j: int) -> list[tuple[int, int]]:
+    """A_ij on strands i < j as a braid word."""
+    conjugator = [(p, 1) for p in range(j - 1, i, -1)]
+    return conjugator + [(i, 1), (i, 1)] + inverse_word(conjugator)
+
+
+def inverse_word(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(p, -sign) for p, sign in reversed(word)]
+
+
+def graph_link(strands: int, triples) -> SurgeryPresentation:
     word = []
-    for p in range(n - 2):
-        word += [(p, 1)] * 2 + [(p + 1, 1)] * 2 + [(p, -1)] * 2 + [(p + 1, -1)] * 2
-    return SurgeryPresentation(with_framings(closed_braid(n, word), (1,) * n))
+    for i, j, k in triples:
+        a, b = pure_generator(i, j), pure_generator(j, k)
+        word += a + b + inverse_word(a) + inverse_word(b)
+    return SurgeryPresentation(with_framings(closed_braid(strands, word), (1,) * strands))
+
+
+def chain(n: int) -> SurgeryPresentation:
+    return graph_link(n, [(p, p + 1, p + 2) for p in range(n - 2)])
 
 
 def hoste_casson(sp: SurgeryPresentation) -> Fraction:
@@ -75,6 +103,33 @@ def hoste_casson(sp: SurgeryPresentation) -> Fraction:
         for keep in combinations(range(d.components), size):
             total += math.prod(d.framings[c] for c in keep) * conway_a2(sublink(d, keep))
     return total
+
+
+def lambda2_every_subcable(sp: SurgeryPresentation) -> Fraction:
+    d = sp.diagram
+    cable = parallel(d, 2)
+    total = Fraction(0)
+    for counts in product((0, 1, 2), repeat=d.components):
+        if not any(counts):
+            continue
+        sub = sublink(cable, [2 * comp + j for comp, k in enumerate(counts) for j in range(k)])
+        f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
+        total += jones_sublink_weight(sub, 2) * f / 2 ** counts.count(2)
+        if 2 not in counts:
+            total += jones_sublink_weight(sub, 1) * f * Fraction(sub.components, 2)
+    return total
+
+
+def split_pieces_union_find(d: LinkDiagram) -> list[tuple[list[int], list[int]]]:
+    uf = _UnionFind()
+    for p, q in d._component_pairs:
+        uf.join(p, q)
+    pieces: dict[int, tuple[list[int], list[int]]] = {}
+    for comp in range(d.components):
+        pieces.setdefault(uf.find(comp), ([], []))[0].append(comp)
+    for i, (p, _q) in enumerate(d._component_pairs):
+        pieces[uf.find(p)][1].append(i)
+    return list(pieces.values())
 
 
 def is_algebraically_split(d: LinkDiagram) -> bool:

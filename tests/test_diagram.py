@@ -23,7 +23,12 @@ from ftik.diagram import (
 )
 from ftik.errors import DiagramError
 from ftik.skein import jones
-from oracles import braid_closures, braid_words, sublink_union_find
+from oracles import (
+    braid_closures,
+    braid_words,
+    split_pieces_union_find,
+    sublink_union_find,
+)
 
 TREFOIL_PD = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 
@@ -308,6 +313,25 @@ def test_split_pieces():
     d = catalog.get("trefoils-two-plus1").diagram
     found = sorted(i for _comps, crossings in d.split_pieces() for i in crossings)
     assert found == list(range(len(d.crossings)))
+    for entry in catalog.entries():
+        for d in (entry.diagram, parallel(entry.diagram, 2)):
+            assert d.split_pieces() == split_pieces_union_find(d), entry.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(braid_closures, min_size=1, max_size=3), st.data())
+def test_split_pieces_match_union_find_oracle(closures, data):
+    d = closures[0]
+    for other in closures[1:]:
+        d = disjoint_union(d, other)
+    assert d.split_pieces() == split_pieces_union_find(d)
+    keep = data.draw(st.sets(st.integers(0, d.components - 1)))
+    sub = sublink(d, keep)
+    assert sub.split_pieces() == split_pieces_union_find(sub)
+    # The pieces of a sublink are the pieces of its mask, renumbered.
+    kept = sorted(keep)
+    assert d.piece_masks(sum(1 << c for c in kept)) == [
+        sum(1 << kept[c] for c in comps) for comps, _crossings in sub.split_pieces()]
 
 
 VIRTUAL_PD = [[2, 3, 4, 1], [4, 1, 3, 2]]

@@ -1,12 +1,14 @@
 """Finite-type order machinery: alternating sums and the order-evidence
 report."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from ftik import catalog
-from ftik.diagram import SurgeryPresentation
+from ftik.diagram import LinkDiagram, SurgeryPresentation
+from ftik.errors import ResourceLimitError
 from ftik.fintype import (
     CASSON,
     LAMBDA1,
@@ -16,7 +18,7 @@ from ftik.fintype import (
     difference_sum,
     order_check,
 )
-from oracles import chain
+from oracles import chain, graph_link
 
 
 def test_difference_sum_casson_vanishes_on_four_components():
@@ -59,6 +61,34 @@ def test_difference_sum_lambda2_vanishes_on_seven_split():
     sp = catalog.presentation("split-seven-plus1")
     assert sp.diagram.components == 7
     assert difference_sum(LAMBDA2, sp) == 0
+
+
+def test_lambda2_difference_sums_of_graph_links():
+    # theta u theta is split, so Delta lambda2 = 36 = 18 Delta casson^2 is
+    # the cross term lambda1 lambda1 / 2 of the connected-sum rule, and
+    # lambda2 - 18 casson^2 is of lower order there.  Chain 5 is not split.
+    theta_theta = graph_link(6, [(0, 1, 2), (3, 4, 5)])
+    squared = InvariantFunction("casson^2", lambda sp: CASSON(sp) ** 2)
+    rest = InvariantFunction("lambda2 - 18 casson^2",
+                             lambda sp: LAMBDA2(sp) - 18 * CASSON(sp) ** 2)
+    assert difference_sum(LAMBDA2, theta_theta) == 36
+    assert difference_sum(squared, theta_theta) == 2
+    assert difference_sum(rest, theta_theta) == 0
+    assert difference_sum(LAMBDA2, chain(5)) == -60
+
+
+def test_difference_sum_checks_the_whole_presentation_first():
+    # lambda2 refuses 13 components (3^13 - 1 sub-cables) at once, but
+    # every smaller sub-presentation is under budget, and 12 unknots alone
+    # take seconds.
+    unlink = SurgeryPresentation(LinkDiagram.from_pd([], (1,) * 13, 13))
+    evaluated = []
+    counted = InvariantFunction("lambda2", lambda sp: evaluated.append(sp) or LAMBDA2(sp))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        difference_sum(counted, unlink)
+    assert time.perf_counter() - start < 2
+    assert [sp.diagram.components for sp in evaluated] == [13]
 
 
 def test_difference_sum_constant_vanishes_everywhere_nonempty():

@@ -37,6 +37,7 @@ from oracles import (
     chain,
     hoste_casson,
     is_algebraically_split,
+    lambda2_every_subcable,
 )
 
 
@@ -46,6 +47,22 @@ def sp(name):
 
 def framed(name, framings):
     return SurgeryPresentation(with_framings(catalog.get(name).diagram, framings))
+
+
+def plus_one_union(*names):
+    d = catalog.get(names[0]).diagram
+    for name in names[1:]:
+        d = disjoint_union(d, catalog.get(name).diagram)
+    return SurgeryPresentation(with_framings(d, (1,) * d.components))
+
+
+# Split unions whose pieces have phi_1 != 0: W u B has two pieces, T u W u T
+# three, so a sum in place of the product, or a weight read off three
+# pieces, changes their values.
+SPLIT_UNIONS = {
+    "W u B": ("whitehead", "borromean"),
+    "T u W u T": ("trefoil-right", "whitehead", "trefoil-left"),
+}
 
 
 def test_casson_catalog_values():
@@ -81,6 +98,7 @@ def test_surgery_sums_never_walk_the_conway_tree(monkeypatch):
 
 def test_casson_matches_hoste_oracle():
     presentations = [SurgeryPresentation(e.diagram) for e in catalog.asl_entries()]
+    presentations += [plus_one_union(*names) for names in SPLIT_UNIONS.values()]
     for p in presentations + [chain(3), chain(4)]:
         fast = casson_invariant(p)
         # The oracle walks its own Conway trees on a cold memo.
@@ -349,6 +367,101 @@ def test_lambda2_takes_every_sublink_from_the_cable(monkeypatch, name):
     monkeypatch.setattr(invariants, "sublink", spy)
     ohtsuki_lambda2(p)
     assert restricted and not any(restricted)
+
+
+def lambda2_oracle_cases():
+    cases = [(e.name, SurgeryPresentation(e.diagram)) for e in catalog.asl_entries()]
+    cases += [(f"chain {n}", chain(n)) for n in (3, 4)]
+    return cases + [(name, plus_one_union(*names)) for name, names in SPLIT_UNIONS.items()]
+
+
+def test_lambda2_matches_every_subcable_oracle():
+    for name, p in lambda2_oracle_cases():
+        memo.clear()
+        fast = ohtsuki_lambda2(p)
+        # The oracle weighs every sub-cable whole, on its own cold memo.
+        memo.clear()
+        assert fast == lambda2_every_subcable(p), name
+
+
+# ASL closures with one or two components, at most 6 crossings each, so a
+# union of three has at most 6 components and 3^6 - 1 sub-cables.
+small_closures = braid_words(3, 6).map(lambda w: closed_braid(*w)).filter(
+    lambda d: d.components <= 2 and is_algebraically_split(d))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(small_closures, min_size=2, max_size=3), st.data())
+def test_lambda2_matches_every_subcable_oracle_on_unions(closures, data):
+    d = closures[0]
+    for other in closures[1:]:
+        d = disjoint_union(d, other)
+    framings = data.draw(st.lists(st.sampled_from((1, -1)),
+                                  min_size=d.components, max_size=d.components))
+    p = SurgeryPresentation(with_framings(d, framings))
+    fast = ohtsuki_lambda2(p)
+    memo.clear()
+    assert fast == lambda2_every_subcable(p)
+
+
+def components_of(mask):
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_UNIONS))
+@pytest.mark.parametrize("cabled", [False, True], ids=["sublinks", "sub-cables"])
+def test_split_sublinks_weigh_by_the_split_rule(monkeypatch, name, cabled):
+    # Casson walks the sublinks of L, lambda2 the sub-cables of its
+    # 2-parallel.  On each split one, the weights built whole must be
+    # phi_1 = 0 and phi_2 = phi_1(A) phi_1(B) for two pieces A, B, or 0 for
+    # three or more; the surgery sums' weights must equal them without
+    # building or weighing a split sublink or the pieces of three.
+    d = plus_one_union(*SPLIT_UNIONS[name]).diagram
+    if cabled:
+        d = parallel(d, 2)
+    phi1 = {}
+
+    def whole(mask, i):
+        return jones_sublink_weight(sublink(d, components_of(mask)), i)
+
+    seen = {2: 0, 3: 0}
+    for mask in range(1, 1 << d.components):
+        pieces = d.piece_masks(mask)
+        if len(pieces) == 1:
+            phi1[mask] = whole(mask, 1)
+            continue
+        if len(pieces) == 2:
+            expected = phi1[pieces[0]] * phi1[pieces[1]]
+        else:
+            expected = 0
+        if all(phi1[piece] for piece in pieces):
+            seen[min(len(pieces), 3)] += 1
+        assert (whole(mask, 1), whole(mask, 2)) == (0, expected), components_of(mask)
+        built = []
+        monkeypatch.setattr(invariants, "sublink", lambda *a: built.append(a) or sublink(*a))
+        monkeypatch.setattr(invariants, "jones_sublink_weight",
+                            lambda *a: built.append(a) or jones_sublink_weight(*a))
+        # A fresh table: no piece of this mask is built yet.
+        weights = invariants._SublinkWeights(d)
+        assert weights(mask, 1) == 0
+        assert not built
+        assert weights(mask, 2) == expected
+        assert not built or len(pieces) == 2
+        monkeypatch.undo()
+    # Products that differ from sums, and three weighty pieces, both occur.
+    assert seen[2] and (seen[3] or name == "W u B")
+
+
+@pytest.mark.parametrize("names, most", [
+    (("whitehead", "trefoil-right") + ("unknot",) * 4, 100),
+    (("borromean", "borromean"), 400),
+])
+def test_lambda2_builds_few_sublinks(monkeypatch, names, most):
+    # Building every sub-cable took 2,640 and 1,436 sublink calls here.
+    built = []
+    monkeypatch.setattr(invariants, "sublink", lambda *a: built.append(a) or sublink(*a))
+    ohtsuki_lambda2(plus_one_union(*names))
+    assert len(built) <= most
 
 
 def test_alternating_jones_splits_a_diagram_once(monkeypatch):
