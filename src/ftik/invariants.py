@@ -30,12 +30,18 @@ derivatives of V(e^h) at h = 0 together with the z^4 Conway coefficient.
 
 The alternating sum is taken on integral Jones polynomials: multiplied by
 (t^{1/2} + t^{-1/2})^(#L - 1) it is a Laurent polynomial P(L) with integer
-coefficients, memoized per split piece, and only the final division
-expands a series.  Everything is exact.  Each series is expanded exactly
-as far as its formula reads it: order #L + i for phi_i and i for v_i.
-phi_i reads one coefficient of P / s^(#L - 1), so it convolves the
-expansion of P with the inverse of s^(#L - 1), which is memoized per
-(#L, order), and forms only that coefficient.
+coefficients, memoized per connected sublink, and only the final division
+expands a series.  Each evaluation (one surgery sum, or one alternating
+sum) keeps one table of the sublinks of the diagram it started from,
+addressed by component bitmask.  P of a connected sublink sums V over its
+submasks in that table, so a sublink that several connected sublinks
+share is built once, and always as a sublink of that one diagram.
+
+Everything is exact.  Each series is expanded exactly as far as its
+formula reads it: order #L + i for phi_i and i for v_i.  phi_i reads one
+coefficient of P / s^(#L - 1), so it convolves the expansion of P with
+the inverse of s^(#L - 1), which is memoized per (#L, order), and forms
+only that coefficient.
 
 Both surgery sums read a split sublink's weights off its pieces instead of
 building it.  V(L1 u L2) = s V(L1) V(L2) gives P(L1 u L2) = s P(L1) P(L2),
@@ -52,7 +58,8 @@ split link
 
 Every sublink of an algebraically split link, and every sub-cable of its
 0-framed 2-parallel, is algebraically split again, so the rule holds on
-everything the sums walk.  Only connected sublinks are built and weighed.
+everything the sums walk.  Only connected sublinks are weighed; a split
+one is built only when a P that holds it misses its memo.
 """
 
 from __future__ import annotations
@@ -98,50 +105,17 @@ def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
 
 def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
-    s = t^{1/2} + t^{-1/2} and P the integral Jones sum below."""
+    s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``."""
     if d.components == 0:
         return TruncSeries.one(order)
-    return laurent_to_series(_alternating_jones(d), order) * _inverse_denominator(
-        d.components, order)
+    return laurent_to_series(_Sublinks(d).alt((1 << d.components) - 1), order) * (
+        _inverse_denominator(d.components, order))
 
 
 def _inverse_denominator(n: int, order: int) -> TruncSeries:
     """1 / s^(n - 1) about t = 1, memoized per (n, order)."""
     return memo.lookup("inverse", (n, order),
                        lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
-
-
-def _alternating_jones(d: LinkDiagram) -> HalfLaurent:
-    """P(L) = sum over sublinks L' of (-s)^(#L - #L') V(L'), where the
-    empty sublink has V = 1/s.
-
-    P is s^(#L - 1) times the alternating sum of X, so it has integer
-    coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
-    gives P(L1 u L2) = s P(L1) P(L2), so P is taken per split piece, a
-    sublink memoized by its key; an unknot piece has P = V(O) - 1 = 0.
-    """
-    pieces = d.split_pieces()
-    total = HALF_SUM ** (len(pieces) - 1)
-    for comps, _indices in pieces:
-        piece = d if len(pieces) == 1 else sublink(d, comps)
-        total = total * memo.lookup("alt", piece.canonical_key(), _alternating_jones_piece, piece)
-        if total.is_zero():
-            break
-    return total
-
-
-def _alternating_jones_piece(d: LinkDiagram) -> HalfLaurent:
-    # Horner's rule in sublink size: with A_k the sum of V over the
-    # k-component sublinks, P = A_n - s(A_(n-1) - s(... - s A_1))
-    # + (-1)^n s^(n-1).
-    n = d.components
-    total = HalfLaurent.zero()
-    for size in range(1, n + 1):
-        level = HalfLaurent.zero()
-        for keep in combinations(range(n), size):
-            level = level + jones(sublink(d, keep))
-        total = level - HALF_SUM * total
-    return total + (HALF_SUM ** (n - 1)).scale((-1) ** n)
 
 
 def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
@@ -158,42 +132,88 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     if n == 0:
         # The alternating sum of the empty link is the constant series 1.
         return Fraction(int(i == 0))
-    p_coeffs = laurent_to_series(_alternating_jones(d), needed).coeffs
+    p_coeffs = laurent_to_series(_Sublinks(d).alt((1 << n) - 1), needed).coeffs
     inverse = _inverse_denominator(n, needed).coeffs
     return (-2) ** n * sum(p_coeffs[k] * inverse[needed - k] for k in range(needed + 1))
 
 
-class _SublinkWeights:
-    """phi_1 and phi_2 of the sublinks of one algebraically split diagram,
-    addressed by component bitmask (bit c keeps component c), for one
-    surgery sum.
+def _check_budget(count: int, walk: str) -> None:
+    """Refuse a walk over ``count`` sublinks past the budget, before it
+    starts; ``walk`` names it, with ``{}`` where the count goes."""
+    if count > _SUBLINK_BUDGET:
+        raise ResourceLimitError(f"{walk.format(count)} exceeds the budget of {_SUBLINK_BUDGET}")
 
-    A connected sublink is built once, kept under its mask and weighed
-    through the ``phi`` memo.  A split one is never built: its pieces come
-    from ``LinkDiagram.piece_masks`` and the split rule of the module
-    docstring gives its weight.
+
+class _Sublinks:
+    """The sublinks of one diagram d, addressed by component bitmask (bit c
+    keeps component c), for one evaluation: one surgery sum or one
+    alternating sum.
+
+    ``diagram`` builds a sublink as ``sublink(d, comps)``, or gives d
+    itself for the full mask, at most once per table; the table never
+    restricts a sublink it built.  ``alt`` gives P: a split mask is the
+    product over its pieces from ``LinkDiagram.piece_masks``, and a
+    connected one goes through the ``alt`` memo by canonical key, whose
+    miss sums V over the submasks.  Calling the table gives phi_i by the
+    split rule of the module docstring, so a split mask is never built
+    for its weights.  The submask walk of d's largest piece is checked
+    against the sublink budget before any work starts.
     """
 
     def __init__(self, d: LinkDiagram):
+        full = (1 << d.components) - 1
+        largest = max((piece.bit_count() for piece in d.piece_masks(full)), default=0)
+        _check_budget(2 ** largest - 1, "alternating sum over {} sublinks of one piece")
         self._d = d
-        self._connected: dict[int, LinkDiagram] = {}
+        self._built = {full: d}
+
+    def diagram(self, mask: int) -> LinkDiagram:
+        if mask not in self._built:
+            comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
+            self._built[mask] = sublink(self._d, comps)
+        return self._built[mask]
+
+    def alt(self, mask: int) -> HalfLaurent:
+        """P(L) = sum over sublinks L' of (-s)^(#L - #L') V(L'), where the
+        empty sublink has V = 1/s, for the sublink L on ``mask``.
+
+        P is s^(#L - 1) times the alternating sum of X, so it has integer
+        coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
+        gives P(L1 u L2) = s P(L1) P(L2); an unknot piece has
+        P = V(O) - 1 = 0, which ends the product.
+        """
+        pieces = self._d.piece_masks(mask)
+        if len(pieces) == 1:
+            return memo.lookup("alt", self.diagram(mask).canonical_key(), self._alt_piece, mask)
+        total = HALF_SUM ** (len(pieces) - 1)
+        for piece in pieces:
+            total = total * self.alt(piece)
+            if total.is_zero():
+                break
+        return total
+
+    def _alt_piece(self, mask: int) -> HalfLaurent:
+        # Horner's rule in sublink size: with A_k the sum of V over the
+        # k-component sublinks, P = A_n - s(A_(n-1) - s(... - s A_1))
+        # + (-1)^n s^(n-1).
+        bits = [1 << c for c in range(mask.bit_length()) if mask >> c & 1]
+        total = HalfLaurent.zero()
+        for size in range(1, len(bits) + 1):
+            level = HalfLaurent.zero()
+            for keep in combinations(bits, size):
+                level = level + jones(self.diagram(sum(keep)))
+            total = level - HALF_SUM * total
+        return total + (HALF_SUM ** (len(bits) - 1)).scale((-1) ** len(bits))
 
     def __call__(self, mask: int, i: int) -> Fraction:
         pieces = self._d.piece_masks(mask)
         if len(pieces) == 1:
-            return jones_sublink_weight(self._piece(mask), i)
+            # P comes from this table first, so a phi miss finds it memoized.
+            self.alt(mask)
+            return jones_sublink_weight(self.diagram(mask), i)
         if i == 2 and len(pieces) == 2:
-            first, second = pieces
-            return (jones_sublink_weight(self._piece(first), 1)
-                    * jones_sublink_weight(self._piece(second), 1))
+            return self(pieces[0], 1) * self(pieces[1], 1)
         return Fraction(0)
-
-    def _piece(self, mask: int) -> LinkDiagram:
-        piece = self._connected.get(mask)
-        if piece is None:
-            comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
-            piece = self._connected[mask] = sublink(self._d, comps)
-        return piece
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
@@ -202,17 +222,15 @@ def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     These sublinks are lambda2's copy-0 sub-cables, so the phi table is the
     one lambda2 fills: either sum leaves the other only the framings.  A
     split sublink has phi_1 = 0 (the split rule of the module docstring),
-    so only the connected ones are built.
+    so only the connected ones are weighed.
     """
     return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
 
 
 def _casson_sum(d: LinkDiagram) -> Fraction:
     n = d.components
-    if 2 ** n - 1 > _SUBLINK_BUDGET:
-        raise ResourceLimitError(f"casson sum over {2 ** n - 1} sublinks exceeds "
-                                 f"the budget of {_SUBLINK_BUDGET}")
-    weights = _SublinkWeights(d)
+    _check_budget(2 ** n - 1, "casson sum over {} sublinks")
+    weights = _Sublinks(d)
     total = Fraction(0)
     for mask in range(1, 1 << n):
         phi1 = weights(mask, 1)
@@ -238,22 +256,20 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
     Most sub-cables are split.  The split rule of the module docstring
     gives their weights from the phi_1 of their connected pieces: nothing
     for three or more pieces, phi_1 = 0 and phi_2 the product of the two
-    pieces' phi_1 for two.  Only connected sub-cables are built, each once
-    per call.
+    pieces' phi_1 for two.  Only connected sub-cables are weighed, and
+    every sub-cable is built at most once per call, as a sublink of the
+    cable.
     """
     return memo.lookup("lambda2", sp.canonical_key(), _lambda2_sum, sp.diagram)
 
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
     n = d.components
-    if 3 ** n - 1 > _SUBLINK_BUDGET:
-        raise ResourceLimitError(f"lambda2 sum over {3 ** n - 1} sub-cables exceeds "
-                                 f"the budget of {_SUBLINK_BUDGET}")
-    weights = _SublinkWeights(parallel(d, 2))
+    _check_budget(3 ** n - 1, "lambda2 sum over {} sub-cables")
+    weights = _Sublinks(parallel(d, 2))
     total = Fraction(0)
+    # The empty sub-cable has no pieces, so the table weighs it 0.
     for counts in product((0, 1, 2), repeat=n):
-        if not any(counts):
-            continue
         # Copies 2 comp and 2 comp + 1 of the cable run beside component comp.
         mask = sum(((1 << k) - 1) << 2 * comp for comp, k in enumerate(counts))
         phi2 = weights(mask, 2)

@@ -10,7 +10,7 @@ values, depends on how a diagram's arcs are named.  Only returned values
 are stored: a computation that raises leaves no entry behind.
 
 Tables: ``bracket`` (per split piece), ``jones``, ``alt`` (the integral
-alternating sublink sum, per split piece), ``inverse`` (the series
+alternating sublink sum, per connected sublink), ``inverse`` (the series
 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed by (#L, order) rather
 than by a diagram), ``conway`` (read by ``a2`` and ``psi2`` alike),
 ``phi`` (sublink weights: the surgery sums store connected sublinks only,

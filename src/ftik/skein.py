@@ -41,7 +41,8 @@ _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
 # Most boundary pairings one contraction step may leave alive.
 _STATE_BUDGET = 10**6
 
-# Most sublinks one surgery sum may walk (3^#L - 1 lambda2, 2^#L - 1 Casson).
+# Most sublinks one sum may walk: 3^#L - 1 sub-cables for lambda2, 2^#L - 1
+# sublinks for Casson, 2^k - 1 submasks of a k-component piece for P.
 _SUBLINK_BUDGET = 10**6
 
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.

@@ -1,6 +1,7 @@
 """Surgery-formula invariants: Casson, lambda1, lambda2, phi weights, and
 the induced knot invariant psi2."""
 
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from ftik.invariants import (
     sublink_alternating_series,
     sublink_alternating_series_naive,
 )
-from ftik.errors import DiagramError
+from ftik.errors import DiagramError, ResourceLimitError
 from ftik.skein import conway_a2
 from oracles import (
     braid_closures,
@@ -356,17 +357,28 @@ def test_lambda2_contracts_few_bracket_pieces(monkeypatch, name, most):
 @pytest.mark.parametrize("name", ["borromean-plus1", "whitehead-plus1"])
 def test_lambda2_takes_every_sublink_from_the_cable(monkeypatch, name):
     # A sublink of L is the sub-cable of L's 2-parallel made of copy 0 of
-    # each kept component, so lambda2 never restricts L itself.
+    # each kept component, so lambda2 restricts only the cable: never L,
+    # and never a sub-cable it built.  Casson restricts only L.
     p = sp(name)
-    restricted = []
+    cables, restricted = [], []
+
+    def cable(d, m):
+        cables.append(parallel(d, m))
+        return cables[-1]
 
     def spy(d, keep):
-        restricted.append(d is p.diagram)
+        restricted.append(d)
         return sublink(d, keep)
 
+    monkeypatch.setattr(invariants, "parallel", cable)
     monkeypatch.setattr(invariants, "sublink", spy)
     ohtsuki_lambda2(p)
-    assert restricted and not any(restricted)
+    assert len(cables) == 1 and restricted
+    assert all(d is cables[0] for d in restricted)
+    memo.clear()
+    restricted.clear()
+    casson_invariant(p)
+    assert restricted and all(d is p.diagram for d in restricted)
 
 
 def lambda2_oracle_cases():
@@ -442,7 +454,7 @@ def test_split_sublinks_weigh_by_the_split_rule(monkeypatch, name, cabled):
         monkeypatch.setattr(invariants, "jones_sublink_weight",
                             lambda *a: built.append(a) or jones_sublink_weight(*a))
         # A fresh table: no piece of this mask is built yet.
-        weights = invariants._SublinkWeights(d)
+        weights = invariants._Sublinks(d)
         assert weights(mask, 1) == 0
         assert not built
         assert weights(mask, 2) == expected
@@ -455,30 +467,26 @@ def test_split_sublinks_weigh_by_the_split_rule(monkeypatch, name, cabled):
 @pytest.mark.parametrize("names, most", [
     (("whitehead", "trefoil-right") + ("unknot",) * 4, 100),
     (("borromean", "borromean"), 400),
+    ("chain 5", 1500),
 ])
 def test_lambda2_builds_few_sublinks(monkeypatch, names, most):
-    # Building every sub-cable took 2,640 and 1,436 sublink calls here.
+    # Building every sub-cable took 2,640 and 1,436 sublink calls on the two
+    # unions.  Rebuilding every sublink of each connected sub-cable took
+    # 11,107 on chain 5, whose 2-parallel has only 2^10 - 2 proper sublinks.
     built = []
     monkeypatch.setattr(invariants, "sublink", lambda *a: built.append(a) or sublink(*a))
-    ohtsuki_lambda2(plus_one_union(*names))
+    ohtsuki_lambda2(chain(5) if names == "chain 5" else plus_one_union(*names))
     assert len(built) <= most
 
 
-def test_alternating_jones_splits_a_diagram_once(monkeypatch):
-    d = catalog.get("trefoils-two-plus1").diagram
-    # The first call fills the alt and jones memos, so the second splits
-    # only what _alternating_jones itself splits.
-    value = invariants._alternating_jones(d)
-    split = []
-    original = LinkDiagram.split_pieces
-
-    def counted(self):
-        split.append(self)
-        return original(self)
-
-    monkeypatch.setattr(LinkDiagram, "split_pieces", counted)
-    assert invariants._alternating_jones(d) == value
-    assert len(split) == 1 and split[0] is d
+def test_lambda2_refuses_a_cable_piece_past_the_budget():
+    # Chain 10's 3^10 - 1 sub-cables pass the sum's own check, but its
+    # 2-parallel is one piece of 20 components: P of it would walk
+    # 2^20 - 1 sublinks for hours, so the sum must stop before it starts.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="1048575 sublinks of one piece"):
+        ohtsuki_lambda2(chain(10))
+    assert time.perf_counter() - start < 2
 
 
 def test_jones_exp_derivatives_frozen():
