@@ -29,13 +29,20 @@ invariant psi2 evaluates lambda2 on +1-surgery and has a closed form in
 derivatives of V(e^h) at h = 0 together with the z^4 Conway coefficient.
 
 The alternating sum is taken on integral Jones polynomials: multiplied by
-(t^{1/2} + t^{-1/2})^(#L - 1) it is a Laurent polynomial P(L) with integer
-coefficients, memoized per connected sublink, and only the final division
-expands a series.  Each evaluation (one surgery sum, or one alternating
-sum) keeps one table of the sublinks of the diagram it started from,
-addressed by component bitmask.  P of a connected sublink sums V over its
-submasks in that table, so a sublink that several connected sublinks
-share is built once, and always as a sublink of that one diagram.
+s^(#L - 1), where s = t^{1/2} + t^{-1/2}, it is a Laurent polynomial P(L)
+with integer coefficients, memoized per connected sublink, and only the
+final division expands a series.  Each evaluation (one surgery sum, or
+one alternating sum) keeps one table of the sublinks of the diagram it
+started from, addressed by component bitmask.  P is read off V by
+Moebius inversion: V(L) = sum over sublinks L' of s^(#L - #L') P(L'),
+with P = 1/s on the empty sublink, so
+
+    P(L) = V(L) - s^(#L - 1) - sum over nonempty proper L' of s^(#L - #L') P(L').
+
+V is read only on the connected sublink itself, and each proper sublink's
+P comes from the same table, a split one as the product of its pieces'
+(below).  So only connected sublinks are built, each once, and always as
+a sublink of that one diagram.
 
 Everything is exact.  Each series is expanded exactly as far as its
 formula reads it: order #L + i for phi_i and i for v_i.  phi_i reads one
@@ -58,8 +65,8 @@ split link
 
 Every sublink of an algebraically split link, and every sub-cable of its
 0-framed 2-parallel, is algebraically split again, so the rule holds on
-everything the sums walk.  Only connected sublinks are weighed; a split
-one is built only when a P that holds it misses its memo.
+everything the sums walk.  Only connected sublinks are weighed, and no
+split one is built.
 """
 
 from __future__ import annotations
@@ -149,15 +156,17 @@ class _Sublinks:
     keeps component c), for one evaluation: one surgery sum or one
     alternating sum.
 
-    ``diagram`` builds a sublink as ``sublink(d, comps)``, or gives d
-    itself for the full mask, at most once per table; the table never
-    restricts a sublink it built.  ``alt`` gives P: a split mask is the
-    product over its pieces from ``LinkDiagram.piece_masks``, and a
-    connected one goes through the ``alt`` memo by canonical key, whose
-    miss sums V over the submasks.  Calling the table gives phi_i by the
-    split rule of the module docstring, so a split mask is never built
-    for its weights.  The submask walk of d's largest piece is checked
-    against the sublink budget before any work starts.
+    ``alt`` gives P of every mask, once per table: a split mask is s^(k-1)
+    times the product over its k pieces from ``LinkDiagram.piece_masks``,
+    and a connected one goes through the ``alt`` memo by canonical key,
+    whose miss reads V of that mask alone and P of its proper submasks
+    (the Moebius rule of the module docstring).  Only a connected mask is
+    built, as ``sublink(d, comps)`` or d itself for the full mask, at most
+    once per table; the table never restricts a sublink it built.  Calling
+    the table gives phi_i by the split rule of the module docstring, so a
+    split mask is never built, for its P or for its weights.  The submask
+    walk of d's largest piece is checked against the sublink budget before
+    any work starts.
     """
 
     def __init__(self, d: LinkDiagram):
@@ -166,12 +175,7 @@ class _Sublinks:
         _check_budget(2 ** largest - 1, "alternating sum over {} sublinks of one piece")
         self._d = d
         self._built = {full: d}
-
-    def diagram(self, mask: int) -> LinkDiagram:
-        if mask not in self._built:
-            comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
-            self._built[mask] = sublink(self._d, comps)
-        return self._built[mask]
+        self._alts: dict[int, HalfLaurent] = {}
 
     def alt(self, mask: int) -> HalfLaurent:
         """P(L) = sum over sublinks L' of (-s)^(#L - #L') V(L'), where the
@@ -180,37 +184,42 @@ class _Sublinks:
         P is s^(#L - 1) times the alternating sum of X, so it has integer
         coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
         gives P(L1 u L2) = s P(L1) P(L2); an unknot piece has
-        P = V(O) - 1 = 0, which ends the product.
+        P = V(O) - 1 = 0.
         """
-        pieces = self._d.piece_masks(mask)
-        if len(pieces) == 1:
-            return memo.lookup("alt", self.diagram(mask).canonical_key(), self._alt_piece, mask)
-        total = HALF_SUM ** (len(pieces) - 1)
-        for piece in pieces:
-            total = total * self.alt(piece)
-            if total.is_zero():
-                break
-        return total
+        p = self._alts.get(mask)
+        if p is None:
+            pieces = self._d.piece_masks(mask)
+            if len(pieces) == 1:
+                if mask not in self._built:
+                    comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
+                    self._built[mask] = sublink(self._d, comps)
+                p = memo.lookup("alt", self._built[mask].canonical_key(), self._alt_piece, mask)
+            else:
+                p = math.prod(map(self.alt, pieces), start=HALF_SUM ** (len(pieces) - 1))
+            self._alts[mask] = p
+        return p
 
     def _alt_piece(self, mask: int) -> HalfLaurent:
-        # Horner's rule in sublink size: with A_k the sum of V over the
-        # k-component sublinks, P = A_n - s(A_(n-1) - s(... - s A_1))
-        # + (-1)^n s^(n-1).
+        # Horner's rule in sublink size: P = V - T_(n-1), where T_0 = 1 and
+        # T_k = s (T_(k-1) + the sum of P over the k-component sublinks).
+        # Most submasks of an ASL cable hold a piece with P = 0.
         bits = [1 << c for c in range(mask.bit_length()) if mask >> c & 1]
-        total = HalfLaurent.zero()
-        for size in range(1, len(bits) + 1):
-            level = HalfLaurent.zero()
+        total = HalfLaurent.one()
+        for size in range(1, len(bits)):
             for keep in combinations(bits, size):
-                level = level + jones(self.diagram(sum(keep)))
-            total = level - HALF_SUM * total
-        return total + (HALF_SUM ** (len(bits) - 1)).scale((-1) ** len(bits))
+                p = self.alt(sum(keep))
+                if not p.is_zero():
+                    total = total + p
+            total = HALF_SUM * total
+        return jones(self._built[mask]) - total
 
     def __call__(self, mask: int, i: int) -> Fraction:
         pieces = self._d.piece_masks(mask)
         if len(pieces) == 1:
-            # P comes from this table first, so a phi miss finds it memoized.
+            # P comes from this table first, so a phi miss finds it memoized;
+            # it also builds the sublink.
             self.alt(mask)
-            return jones_sublink_weight(self.diagram(mask), i)
+            return jones_sublink_weight(self._built[mask], i)
         if i == 2 and len(pieces) == 2:
             return self(pieces[0], 1) * self(pieces[1], 1)
         return Fraction(0)

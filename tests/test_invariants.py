@@ -468,15 +468,40 @@ def test_split_sublinks_weigh_by_the_split_rule(monkeypatch, name, cabled):
     (("whitehead", "trefoil-right") + ("unknot",) * 4, 100),
     (("borromean", "borromean"), 400),
     ("chain 5", 1500),
+    ("chain 5", 600),
 ])
 def test_lambda2_builds_few_sublinks(monkeypatch, names, most):
     # Building every sub-cable took 2,640 and 1,436 sublink calls on the two
     # unions.  Rebuilding every sublink of each connected sub-cable took
-    # 11,107 on chain 5, whose 2-parallel has only 2^10 - 2 proper sublinks.
+    # 11,107 on chain 5, and building each of its 2-parallel's 2^10 - 2
+    # proper sublinks once, the split ones included, took 1,022.
     built = []
     monkeypatch.setattr(invariants, "sublink", lambda *a: built.append(a) or sublink(*a))
     ohtsuki_lambda2(chain(5) if names == "chain 5" else plus_one_union(*names))
     assert len(built) <= most
+
+
+@pytest.mark.parametrize("surgery_sum, name", [
+    (ohtsuki_lambda2, "chain 4"),
+    (ohtsuki_lambda2, "B u B"),
+    (casson_invariant, "chain 4"),
+])
+def test_surgery_sums_take_no_split_jones(monkeypatch, surgery_sum, name):
+    # The alternating sum of a connected sublink reads V of that sublink
+    # alone, and P of a split proper sublink from its pieces.  Summing V
+    # over every submask sent 11 split sub-cables of chain 4's 2-parallel
+    # to the bracket.
+    split = []
+    compute = skein._jones
+
+    def spy(d):
+        if len(d.split_pieces()) > 1:
+            split.append(d)
+        return compute(d)
+
+    monkeypatch.setattr(skein, "_jones", spy)
+    surgery_sum(chain(4) if name == "chain 4" else plus_one_union("borromean", "borromean"))
+    assert not split
 
 
 def test_lambda2_refuses_a_cable_piece_past_the_budget():
