@@ -18,8 +18,9 @@ Exit codes:
   computation works out its own orders and denominators from its input,
   so this is a bug, not malformed input.
 * 4 -- a resource limit was hit (the Conway resolution node budget or
-  recursion depth, the bracket contraction state budget, or a surgery
-  sum over more than 10^6 sublinks).
+  recursion depth, the bracket contraction state budget, an alternating
+  sum over more than 10^6 sublinks of one connected piece, or a
+  difference sum over more than 10^6 sub-presentations).
 """
 
 from __future__ import annotations

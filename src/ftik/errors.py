@@ -41,4 +41,4 @@ class DiagramError(FtikError, ValueError):
 class ResourceLimitError(FtikError):
     """An exponential stage exceeded its budget: the Conway resolution
     node budget or recursion depth, the bracket contraction state budget,
-    or the sublink budget of a surgery sum."""
+    or the sublink budget of an alternating or difference sum."""

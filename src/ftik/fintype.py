@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from .diagram import SurgeryPresentation
 from .invariants import (
+    _check_budget,
     casson_invariant,
     jones_exp_derivative,
     jones_sublink_weight,
@@ -74,11 +75,13 @@ def difference_sum(
 ) -> Fraction:
     """Alternating sum of lambda over all 2^#L sub-presentations.
 
-    The sub-presentations are walked from the largest down, so an
-    invariant whose own budget refuses the whole presentation raises
-    before any smaller one is evaluated.
+    The walk is checked against the sublink budget before it starts.  The
+    sub-presentations are walked from the largest down, so an invariant
+    whose own budget refuses the whole presentation raises before any
+    smaller one is evaluated.
     """
     n = sp.diagram.components
+    _check_budget(2 ** n, "difference sum over {} sub-presentations")
     total = Fraction(0)
     for size in range(n, -1, -1):
         sign = (-1) ** size

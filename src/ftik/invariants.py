@@ -45,10 +45,10 @@ P comes from the same table, a split one as the product of its pieces'
 a sublink of that one diagram.
 
 Everything is exact.  Each series is expanded exactly as far as its
-formula reads it: order #L + i for phi_i and i for v_i.  phi_i reads one
-coefficient of P / s^(#L - 1), so it convolves the expansion of P with
-the inverse of s^(#L - 1), which is memoized per (#L, order), and forms
-only that coefficient.
+formula reads it: order #L + i for phi_i and i for v_i.  phi_i is the
+u^(#L + i) coefficient of the alternating sum P / s^(#L - 1), times
+(-2)^#L, where u = t - 1; the inverse power of s is memoized per
+(#L, order).
 
 Both surgery sums read a split sublink's weights off its pieces instead of
 building it.  V(L1 u L2) = s V(L1) V(L2) gives P(L1 u L2) = s P(L1) P(L2),
@@ -67,6 +67,23 @@ Every sublink of an algebraically split link, and every sub-cable of its
 0-framed 2-parallel, is algebraically split again, so the rule holds on
 everything the sums walk.  Only connected sublinks are weighed, and no
 split one is built.
+
+So both surgery sums walk one split piece L_k of L at a time.  A sublink
+that meets two pieces is split and has phi_1 = 0, so lambda_C is the sum
+over the pieces of the sums over their own sublinks.  A sub-cable S of
+the 2-parallel splits as the union of its parts S_k in the cables of the
+pieces it meets, and its framing product and its factor 2^(-s2) split
+the same way.  If it meets two pieces, phi_2(S) = phi_1(S_j) phi_1(S_k)
+(both sides vanish when a part is split, since S then has three or more
+pieces); if it meets three or more, phi_2(S) = 0.  Hence
+
+    lambda2(S^3_L) = sum_k A_k + sum_{j<k} B_j B_k,
+
+where A_k is the lambda2 sum over the sub-cables of L_k's cable and
+B_k = sum f phi_1 / 2^(s2) over the same sub-cables.  The walk costs
+sum_k 3^#L_k, not 3^#L, and each piece's walk stays within the
+2^(cable piece) - 1 submasks that the sublink table checks against the
+budget.
 """
 
 from __future__ import annotations
@@ -112,17 +129,14 @@ def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
 
 def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
-    s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``."""
-    if d.components == 0:
+    s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``.
+    The inverse power of s is memoized per (#L, order)."""
+    n = d.components
+    if n == 0:
         return TruncSeries.one(order)
-    return laurent_to_series(_Sublinks(d).alt((1 << d.components) - 1), order) * (
-        _inverse_denominator(d.components, order))
-
-
-def _inverse_denominator(n: int, order: int) -> TruncSeries:
-    """1 / s^(n - 1) about t = 1, memoized per (n, order)."""
-    return memo.lookup("inverse", (n, order),
-                       lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
+    inverse = memo.lookup("inverse", (n, order),
+                          lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
+    return laurent_to_series(_Sublinks(d).alt((1 << n) - 1), order) * inverse
 
 
 def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
@@ -132,16 +146,10 @@ def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 
 
 def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
-    """Only the u^(#L + i) coefficient of P / s^(#L - 1) is read, so it is
-    the one coefficient of the product that is formed."""
+    """One coefficient of the alternating sum; on the empty link, whose sum
+    is the constant 1, it gives 1 for i = 0 and 0 otherwise."""
     n = d.components
-    needed = n + i
-    if n == 0:
-        # The alternating sum of the empty link is the constant series 1.
-        return Fraction(int(i == 0))
-    p_coeffs = laurent_to_series(_Sublinks(d).alt((1 << n) - 1), needed).coeffs
-    inverse = _inverse_denominator(n, needed).coeffs
-    return (-2) ** n * sum(p_coeffs[k] * inverse[needed - k] for k in range(needed + 1))
+    return (-2) ** n * sublink_alternating_series(d, n + i).coeff(n + i)
 
 
 def _check_budget(count: int, walk: str) -> None:
@@ -166,7 +174,8 @@ class _Sublinks:
     the table gives phi_i by the split rule of the module docstring, so a
     split mask is never built, for its P or for its weights.  The submask
     walk of d's largest piece is checked against the sublink budget before
-    any work starts.
+    any work starts; it bounds the surgery sums too, which walk the
+    submasks of one piece at a time.
     """
 
     def __init__(self, d: LinkDiagram):
@@ -228,23 +237,25 @@ class _Sublinks:
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     """lambda_C = sum over nonempty sublinks L' of f(L') phi_1(L') / 6.
 
+    A sublink that meets two split pieces of L is split, so it has
+    phi_1 = 0 (the split rule of the module docstring): the sum walks the
+    submasks of one piece at a time and weighs only the connected ones.
     These sublinks are lambda2's copy-0 sub-cables, so the phi table is the
-    one lambda2 fills: either sum leaves the other only the framings.  A
-    split sublink has phi_1 = 0 (the split rule of the module docstring),
-    so only the connected ones are weighed.
+    one lambda2 fills: either sum leaves the other only the framings.
     """
     return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
 
 
 def _casson_sum(d: LinkDiagram) -> Fraction:
-    n = d.components
-    _check_budget(2 ** n - 1, "casson sum over {} sublinks")
     weights = _Sublinks(d)
     total = Fraction(0)
-    for mask in range(1, 1 << n):
-        phi1 = weights(mask, 1)
-        if phi1 != 0:
-            total += math.prod(d.framings[c] for c in range(n) if mask >> c & 1) * phi1
+    for piece in d.piece_masks((1 << d.components) - 1):
+        mask = piece
+        while mask:
+            phi1 = weights(mask, 1)
+            if phi1 != 0:
+                total += phi1 * math.prod(f for c, f in enumerate(d.framings) if mask >> c & 1)
+            mask = (mask - 1) & piece
     return total / 6
 
 
@@ -254,18 +265,22 @@ def ohtsuki_lambda1(sp: SurgeryPresentation) -> Fraction:
 
 
 def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
-    """The order-6 invariant via the two-part surgery formula, in one loop
-    over the sublinks of the 0-framed 2-parallel, indexed by tuples in
+    """The order-6 invariant via the two-part surgery formula, summed over
+    the sub-cables of the 0-framed 2-parallel, indexed by tuples in
     {0,1,2}^#L recording how many copies of each component are taken; a
     doubled component contributes its framing squared.  A tuple without a
     2 takes copy 0 of each kept component, and that sub-cable equals the
     sublink of L on those components (the copy-0 identity), so it also
     carries the first sum's phi_1 term.
 
-    Most sub-cables are split.  The split rule of the module docstring
-    gives their weights from the phi_1 of their connected pieces: nothing
-    for three or more pieces, phi_1 = 0 and phi_2 the product of the two
-    pieces' phi_1 for two.  Only connected sub-cables are weighed, and
+    The sum walks one split piece L_k of L at a time (the regrouping of
+    the module docstring): A_k is the sum over the sub-cables of L_k's
+    cable, and B_k = sum f phi_1 / 2^(s2) over the same sub-cables, so
+
+        lambda2 = sum_k A_k + sum_{j<k} B_j B_k.
+
+    Within a piece the split rule weighs a split sub-cable from the phi_1
+    of its connected pieces, so only connected sub-cables are weighed, and
     every sub-cable is built at most once per call, as a sublink of the
     cable.
     """
@@ -273,20 +288,24 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
 
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
-    n = d.components
-    _check_budget(3 ** n - 1, "lambda2 sum over {} sub-cables")
     weights = _Sublinks(parallel(d, 2))
-    total = Fraction(0)
-    # The empty sub-cable has no pieces, so the table weighs it 0.
-    for counts in product((0, 1, 2), repeat=n):
-        # Copies 2 comp and 2 comp + 1 of the cable run beside component comp.
-        mask = sum(((1 << k) - 1) << 2 * comp for comp, k in enumerate(counts))
-        phi2 = weights(mask, 2)
-        phi1 = weights(mask, 1) if 2 not in counts else 0
-        # Most weights vanish; Fraction arithmetic on them would dominate the loop.
-        if phi2 != 0 or phi1 != 0:
-            f = math.prod(d.framings[comp] ** k for comp, k in enumerate(counts))
-            total += phi2 * f / 2 ** counts.count(2) + phi1 * f * Fraction(mask.bit_count(), 2)
+    total = crossed = Fraction(0)
+    for piece in d.piece_masks((1 << d.components) - 1):
+        comps = [c for c in range(d.components) if piece >> c & 1]
+        a = b = Fraction(0)
+        # The empty sub-cable has no pieces, so the table weighs it 0.
+        for counts in product((0, 1, 2), repeat=len(comps)):
+            # Copies 2 c and 2 c + 1 of the cable run beside component c.
+            mask = sum(((1 << k) - 1) << 2 * c for c, k in zip(comps, counts))
+            phi1, phi2 = weights(mask, 1), weights(mask, 2)
+            # Most weights vanish; Fraction arithmetic on them would dominate the loop.
+            if phi1 != 0 or phi2 != 0:
+                w = Fraction(math.prod(d.framings[c] ** k for c, k in zip(comps, counts)),
+                             2 ** counts.count(2))
+                a += phi2 * w + (phi1 * w * mask.bit_count() / 2 if 2 not in counts else 0)
+                b += phi1 * w
+        total += a + crossed * b
+        crossed += b
     return total
 
 

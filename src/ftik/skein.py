@@ -41,8 +41,9 @@ _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
 # Most boundary pairings one contraction step may leave alive.
 _STATE_BUDGET = 10**6
 
-# Most sublinks one sum may walk: 3^#L - 1 sub-cables for lambda2, 2^#L - 1
-# sublinks for Casson, 2^k - 1 submasks of a k-component piece for P.
+# Most sublinks one sum may walk: 2^k - 1 submasks of a k-component piece
+# for P, which also bounds the surgery sums' walk over one piece at a time,
+# and 2^#L sub-presentations for a difference sum.
 _SUBLINK_BUDGET = 10**6
 
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.

@@ -9,7 +9,6 @@ import pytest
 
 from ftik import catalog
 import ftik.fintype
-import ftik.invariants
 import ftik.skein
 from ftik.cli import (
     EXIT_BAD_INPUT,
@@ -32,6 +31,7 @@ from ftik.invariants import (
 )
 from ftik.series import format_laurent, format_rational
 from ftik.skein import conway, conway_a2, jones
+from oracles import chain
 
 
 def run(capsys, *argv):
@@ -267,22 +267,21 @@ def test_framing_count_is_checked_before_markers_are_built(tmp_path, capsys):
     assert peak < 5 * 2**20
 
 
-def test_lambda2_sublink_budget_exits_4(tmp_path, capsys, monkeypatch):
-    # lambda2 on 13 components would walk 3^13 - 1 sub-cables, past the
-    # budget of 10^6, so it stops before it builds the 2-parallel.
+def test_lambda2_sublink_budget_exits_4(tmp_path, capsys):
+    # Chain 10's 2-parallel is one piece of 20 components: the alternating
+    # sum over it would walk 2^20 - 1 sublinks, past the budget of 10^6.
+    path = tmp_path / "chain-10.json"
+    path.write_text(json.dumps(chain(10).diagram.to_json_dict("chain-10")))
+    code, out, err = run(capsys, "compute", "--invariant", "lambda2", "--link", str(path))
+    assert (code, out) == (EXIT_RESOURCE_LIMIT, "")
+    assert err.startswith("error:") and "1048575 sublinks of one piece" in err
+    # Thirteen split unknots walk three sub-cables each.
     doc = {"name": "unlink-13", "components": 13, "framings": [1] * 13,
            "crossings": [], "unknotted_components": 13}
     path = tmp_path / "unlink-13.json"
     path.write_text(json.dumps(doc))
-
-    def no_cable(d, m):
-        raise AssertionError("the 2-parallel was built")
-
-    monkeypatch.setattr(ftik.invariants, "parallel", no_cable)
-    code, out, err = run(capsys, "compute", "--invariant", "lambda2",
-                         "--link", str(path))
-    assert (code, out) == (EXIT_RESOURCE_LIMIT, "")
-    assert err.startswith("error:") and "1594322 sub-cables" in err
+    assert run(capsys, "compute", "--invariant", "lambda2", "--link", str(path)) == (
+        EXIT_OK, "0\n", "")
 
 
 def test_bracket_state_budget_exits_4(capsys, monkeypatch):

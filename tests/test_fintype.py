@@ -80,17 +80,20 @@ def test_lambda2_difference_sums_of_graph_links():
 
 
 def test_difference_sum_checks_the_whole_presentation_first():
-    # lambda2 refuses 13 components (3^13 - 1 sub-cables) at once, but
-    # every smaller sub-presentation is under budget, and 12 unknots alone
-    # take seconds.
-    unlink = SurgeryPresentation(LinkDiagram.from_pd([], (1,) * 13, 13))
-    evaluated = []
-    counted = InvariantFunction("lambda2", lambda sp: evaluated.append(sp) or LAMBDA2(sp))
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        difference_sum(counted, unlink)
-    assert time.perf_counter() - start < 2
-    assert [sp.diagram.components for sp in evaluated] == [13]
+    # lambda2 on 20 unknots is instant, but the 2^20 sub-presentations are
+    # past the budget of 10^6, so the sum refuses them before it evaluates
+    # any.  Chain 10's 2^10 are under it, and lambda2 refuses the whole
+    # presentation (its 2-parallel is one piece of 20 components) before
+    # any smaller one is evaluated.
+    unlink = SurgeryPresentation(LinkDiagram.from_pd([], (1,) * 20, 20))
+    for presentation, expected in [(unlink, []), (chain(10), [10])]:
+        evaluated = []
+        counted = InvariantFunction("lambda2", lambda sp: evaluated.append(sp) or LAMBDA2(sp))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            difference_sum(counted, presentation)
+        assert time.perf_counter() - start < 2
+        assert [sp.diagram.components for sp in evaluated] == expected
 
 
 def test_difference_sum_constant_vanishes_everywhere_nonempty():

@@ -514,6 +514,18 @@ def test_lambda2_refuses_a_cable_piece_past_the_budget():
     assert time.perf_counter() - start < 2
 
 
+def test_surgery_sums_on_split_unknots_are_instant():
+    # Each unknot is a split piece with phi_1 = 0 on every sub-cable of its
+    # cable, so both sums are 0.  Walking all 3^12 - 1 sub-cables of 12
+    # unknots took 3.5 s; the walk over one piece at a time is linear in
+    # the number of pieces.
+    framings = tuple((1, -1, -1)[c % 3] for c in range(40))
+    unlink = SurgeryPresentation(LinkDiagram.from_pd([], framings, 40))
+    start = time.perf_counter()
+    assert (ohtsuki_lambda2(unlink), casson_invariant(unlink)) == (0, 0)
+    assert time.perf_counter() - start < 1
+
+
 def test_jones_exp_derivatives_frozen():
     tr = catalog.get("trefoil-right").diagram
     tl = catalog.get("trefoil-left").diagram
