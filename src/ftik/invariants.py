@@ -84,6 +84,19 @@ B_k = sum f phi_1 / 2^(s2) over the same sub-cables.  The walk costs
 sum_k 3^#L_k, not 3^#L, and each piece's walk stays within the
 2^(cable piece) - 1 submasks that the sublink table checks against the
 budget.
+
+The framings enter A_k and B_k only as a sign.  The tuple k in
+{0,1,2}^#L_k weighs its sub-cable by f^k = prod_c f_c^(k_c), and
+f_c^0 = f_c^2 = 1 for f_c = +-1, so f^k = f^S, the product of f_c over the
+sign mask S = {c : k_c = 1}.  So a piece's walk collects alpha_S and
+beta_S, its sums with the framings taken out, and
+
+    A_k = sum_S f^S alpha_S,    B_k = sum_S f^S beta_S.
+
+The (S, alpha_S, beta_S) of a piece are memoized under its framing-free
+key, which fixes the order of its components.  A piece that recurs, in
+another union, in a sub-presentation or under other framings, builds no
+cable and reads no weight: it is cut out of L and looked up.
 """
 
 from __future__ import annotations
@@ -279,34 +292,55 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
 
         lambda2 = sum_k A_k + sum_{j<k} B_j B_k.
 
-    Within a piece the split rule weighs a split sub-cable from the phi_1
-    of its connected pieces, so only connected sub-cables are weighed, and
-    every sub-cable is built at most once per call, as a sublink of the
-    cable.
+    Each piece's sums are kept without framings, as alpha_S and beta_S by
+    the sign mask S of the components taken once, since f^k is f^S for
+    framings +-1.  They are memoized per piece by its framing-free key, so
+    the framings of L are applied afresh on each presentation, and a piece
+    met before (alone, in another union or under other framings) costs
+    one lookup.  Within a piece the split rule weighs a split sub-cable
+    from the phi_1 of its connected pieces, so only connected sub-cables
+    are weighed, and every sub-cable is built at most once per piece, as
+    a sublink of the piece's cable.
     """
     return memo.lookup("lambda2", sp.canonical_key(), _lambda2_sum, sp.diagram)
 
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
-    weights = _Sublinks(parallel(d, 2))
+    pieces = d.piece_masks((1 << d.components) - 1)
     total = crossed = Fraction(0)
-    for piece in d.piece_masks((1 << d.components) - 1):
-        comps = [c for c in range(d.components) if piece >> c & 1]
+    for mask in pieces:
+        piece = d if len(pieces) == 1 else sublink(
+            d, [c for c in range(d.components) if mask >> c & 1])
         a = b = Fraction(0)
-        # The empty sub-cable has no pieces, so the table weighs it 0.
-        for counts in product((0, 1, 2), repeat=len(comps)):
-            # Copies 2 c and 2 c + 1 of the cable run beside component c.
-            mask = sum(((1 << k) - 1) << 2 * c for c, k in zip(comps, counts))
-            phi1, phi2 = weights(mask, 1), weights(mask, 2)
-            # Most weights vanish; Fraction arithmetic on them would dominate the loop.
-            if phi1 != 0 or phi2 != 0:
-                w = Fraction(math.prod(d.framings[c] ** k for c, k in zip(comps, counts)),
-                             2 ** counts.count(2))
-                a += phi2 * w + (phi1 * w * mask.bit_count() / 2 if 2 not in counts else 0)
-                b += phi1 * w
+        for signs, alpha, beta in memo.lookup(
+                "lambda2_piece", piece.canonical_key(), _lambda2_piece, piece):
+            sign = math.prod(f for c, f in enumerate(piece.framings) if signs >> c & 1)
+            a += sign * alpha
+            b += sign * beta
         total += a + crossed * b
         crossed += b
     return total
+
+
+def _lambda2_piece(d: LinkDiagram) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """The nonzero (S, alpha_S, beta_S) of one split piece d: its sums A and
+    B with the framings taken out, by sign mask S (bit c set when the
+    tuple takes one copy of component c), so that A = sum_S f^S alpha_S
+    and B = sum_S f^S beta_S."""
+    weights = _Sublinks(parallel(d, 2))
+    sums: dict[int, list[Fraction]] = {}
+    # The empty sub-cable has no pieces, so the table weighs it 0.
+    for counts in product((0, 1, 2), repeat=d.components):
+        # Copies 2 c and 2 c + 1 of the cable run beside component c.
+        mask = sum(((1 << k) - 1) << 2 * c for c, k in enumerate(counts))
+        phi1, phi2 = weights(mask, 1), weights(mask, 2)
+        # Most weights vanish; Fraction arithmetic on them would dominate the loop.
+        if phi1 != 0 or phi2 != 0:
+            w = Fraction(1, 2 ** counts.count(2))
+            entry = sums.setdefault(sum(1 << c for c, k in enumerate(counts) if k == 1), [0, 0])
+            entry[0] += phi2 * w + (phi1 * w * mask.bit_count() / 2 if 2 not in counts else 0)
+            entry[1] += phi1 * w
+    return tuple((signs, alpha, beta) for signs, (alpha, beta) in sums.items() if alpha or beta)
 
 
 def jones_exp_derivative(d: LinkDiagram, i: int) -> Fraction:

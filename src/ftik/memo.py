@@ -18,7 +18,9 @@ by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and
 ``psi2`` alike), ``phi`` (sublink weights: the surgery sums store
 connected sublinks only, since they read a split one's weights off its
 pieces; the ``phi1`` and ``phi2`` rows store whatever diagram they are
-given), ``casson`` and ``lambda2``.
+given), ``casson`` and ``lambda2`` (framed keys), and ``lambda2_piece``
+(one split piece's lambda2 sums with the framings taken out, as
+(sign mask, alpha, beta) triples, keyed by the piece's framing-free key).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ T = TypeVar("T")
 
 _TABLES: dict[str, dict] = {
     name: {} for name in (
-        "bracket", "jones", "alt", "inverse", "conway", "phi", "casson", "lambda2")
+        "bracket", "jones", "alt", "inverse", "conway", "phi", "casson", "lambda2",
+        "lambda2_piece")
 }
 
 

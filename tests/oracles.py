@@ -22,6 +22,9 @@ independent engines for the Casson invariant.
 the 2-parallel built and weighed whole; the library reads a split
 sub-cable's weights off its connected pieces instead.
 
+``tie_knot(d, comp, k)`` ties the knot k into component ``comp`` of d, a
+connected sum drawn by swapping the head ends of one arc of each.
+
 ``split_pieces_union_find`` joins the components of each crossing in a
 union-find; the library grows each piece over a bitmask adjacency.
 
@@ -53,6 +56,7 @@ from ftik.diagram import (
     _cycles,
     _UnionFind,
     closed_braid,
+    disjoint_union,
     parallel,
     sublink,
     with_framings,
@@ -118,6 +122,33 @@ def lambda2_every_subcable(sp: SurgeryPresentation) -> Fraction:
         if 2 not in counts:
             total += jones_sublink_weight(sub, 1) * f * Fraction(sub.components, 2)
     return total
+
+
+def tie_knot(d: LinkDiagram, comp: int, k: LinkDiagram) -> LinkDiagram:
+    """The connected sum of component ``comp`` of d with the knot k, both
+    drawn with crossings, keeping d's framings.
+
+    In the disjoint union of d and k, the first arc x of ``comp`` and the
+    first arc y of k swap their head ends (slot 0, or slot ``over_in``,
+    of the crossing each enters): x now runs into k and y back into d.
+    That is a band between the two arcs, so the two components become
+    one.  Every arc of k is numbered above every arc of d, so each cycle
+    starts at the first arc of the component of d it runs through.
+    """
+    union = disjoint_union(d, k)
+    x, y = d.component_arcs[comp][0], union.component_arcs[d.components][0]
+    swap = {x: y, y: x}
+    crossings = []
+    for cr, oi in zip(union.crossings, union.over_in):
+        cr = list(cr)
+        for slot in (0, oi):
+            cr[slot] = swap.get(cr[slot], cr[slot])
+        crossings.append(tuple(cr))
+    first = {arcs[0]: c for c, arcs in enumerate(d.component_arcs) if arcs}
+    component_arcs = list(d.component_arcs)
+    for cycle in _cycles(tuple(crossings), union.over_in):
+        component_arcs[first[cycle[0]]] = cycle
+    return LinkDiagram(tuple(crossings), union.over_in, tuple(component_arcs), d.framings)
 
 
 def split_pieces_union_find(d: LinkDiagram) -> list[tuple[list[int], list[int]]]:

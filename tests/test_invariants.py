@@ -3,7 +3,7 @@ the induced knot invariant psi2."""
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from ftik.invariants import (
     sublink_alternating_series_naive,
 )
 from ftik.errors import DiagramError, ResourceLimitError
+from ftik.fintype import LAMBDA2, difference_sum
 from ftik.skein import conway_a2
 from oracles import (
     braid_closures,
@@ -39,6 +40,7 @@ from oracles import (
     hoste_casson,
     is_algebraically_split,
     lambda2_every_subcable,
+    tie_knot,
 )
 
 
@@ -338,6 +340,59 @@ def test_lambda2_presentation_independence_whitehead():
     )
 
 
+# One-component closures of 2-4 strands with at most 8 crossings.
+small_knots = braid_words(4, 8).map(lambda w: closed_braid(*w)).filter(
+    lambda d: d.components == 1)
+framed_asls = st.tuples(
+    st.sampled_from(("whitehead", "borromean", "trefoil-left", "figure-eight")).map(
+        lambda name: catalog.get(name).diagram),
+    st.sampled_from((1, -1)),
+).map(lambda asl: with_framings(asl[0], (asl[1],) * asl[0].components))
+
+
+def renamed(d, order):
+    """d with its arcs renamed in ``order``, a permutation of their ids:
+    the same link, whose canonical key can differ."""
+    name = dict(zip(sorted(a for arcs in d.component_arcs for a in arcs), order))
+    crossings = tuple(tuple(name[a] for a in cr) for cr in d.crossings)
+    component_arcs = []
+    for arcs in d.component_arcs:
+        arcs = [name[a] for a in arcs]
+        start = arcs.index(min(arcs)) if arcs else 0
+        component_arcs.append(tuple(arcs[start:] + arcs[:start]))
+    return LinkDiagram(crossings, d.over_in, tuple(component_arcs), d.framings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_knots, st.sampled_from((0, 1)), st.sampled_from((1, -1)),
+       st.sampled_from((1, -1)), st.lists(framed_asls, max_size=2), st.data())
+def test_rolfsen_twist_on_a_knot_tied_into_whitehead(k, u, f, eps, extras, data):
+    # Tie K into component U of the Whitehead link.  The other component C
+    # bounds a disk that U # K meets twice with opposite signs, so surgery
+    # on C framed eps twists the clasp into the twist knot T_eps:
+    #     S^3 over (U # K, C) framed (f, eps) = S^3_f(T_eps # K),
+    # with T_+1 the right trefoil and T_-1 the figure-eight (K = unknot is
+    # the Whitehead test above).  A split ASL on both sides is a connected
+    # summand of both manifolds, and a +-1-framed unknot on one side is S^3.
+    framings = [eps, eps]
+    framings[u] = f
+    left = with_framings(tie_knot(catalog.get("whitehead").diagram, u, k), framings)
+    twist = catalog.get("trefoil-right" if eps == 1 else "figure-eight").diagram
+    right = with_framings(tie_knot(twist, 0, k), (f,))
+    assert left.validate() == right.validate() == []
+    for extra in extras:
+        left = disjoint_union(left, extra)
+        right = disjoint_union(extra, right)
+    unknot = with_framings(catalog.get("unknot").diagram, (data.draw(st.sampled_from((1, -1))),))
+    left = disjoint_union(unknot, left)
+    # Values, not keys: the arcs of one side renamed in any order.
+    arcs = sum(map(len, right.component_arcs))
+    right = renamed(right, data.draw(st.permutations(range(1, arcs + 1))))
+    values = [(ohtsuki_lambda2(p), casson_invariant(p))
+              for p in map(SurgeryPresentation, (left, right))]
+    assert values[0] == values[1]
+
+
 @pytest.mark.parametrize("name, most", [("whitehead-plus1", 6), ("borromean-plus1", 16)])
 def test_lambda2_contracts_few_bracket_pieces(monkeypatch, name, most):
     # Memo hits depend on how sublinks name their arcs: numbering each fused
@@ -354,12 +409,15 @@ def test_lambda2_contracts_few_bracket_pieces(monkeypatch, name, most):
     assert len(contracted) <= most
 
 
-@pytest.mark.parametrize("name", ["borromean-plus1", "whitehead-plus1"])
+@pytest.mark.parametrize("name", ["borromean-plus1", "whitehead-plus1", "W u B"])
 def test_lambda2_takes_every_sublink_from_the_cable(monkeypatch, name):
     # A sublink of L is the sub-cable of L's 2-parallel made of copy 0 of
-    # each kept component, so lambda2 restricts only the cable: never L,
-    # and never a sub-cable it built.  Casson restricts only L.
-    p = sp(name)
+    # each kept component, so lambda2 restricts only the cable of each
+    # split piece: never a sub-cable it built.  It restricts L only to cut
+    # out its split pieces, so never when L is one piece.  Casson restricts
+    # only L.
+    p = plus_one_union(*SPLIT_UNIONS[name]) if name in SPLIT_UNIONS else sp(name)
+    pieces = [comps for comps, _crossings in p.diagram.split_pieces()]
     cables, restricted = [], []
 
     def cable(d, m):
@@ -367,18 +425,20 @@ def test_lambda2_takes_every_sublink_from_the_cable(monkeypatch, name):
         return cables[-1]
 
     def spy(d, keep):
-        restricted.append(d)
+        restricted.append((d, sorted(keep)))
         return sublink(d, keep)
 
     monkeypatch.setattr(invariants, "parallel", cable)
     monkeypatch.setattr(invariants, "sublink", spy)
     ohtsuki_lambda2(p)
-    assert len(cables) == 1 and restricted
-    assert all(d is cables[0] for d in restricted)
+    cut = [keep for d, keep in restricted if d is p.diagram]
+    assert cut == (pieces if len(pieces) > 1 else [])
+    assert len(cables) == len(pieces)
+    assert all(d is p.diagram or any(d is c for c in cables) for d, _keep in restricted)
     memo.clear()
     restricted.clear()
     casson_invariant(p)
-    assert restricted and all(d is p.diagram for d in restricted)
+    assert restricted and all(d is p.diagram for d, _keep in restricted)
 
 
 def lambda2_oracle_cases():
@@ -465,20 +525,77 @@ def test_split_sublinks_weigh_by_the_split_rule(monkeypatch, name, cabled):
 
 
 @pytest.mark.parametrize("names, most", [
-    (("whitehead", "trefoil-right") + ("unknot",) * 4, 100),
-    (("borromean", "borromean"), 400),
+    (("whitehead", "trefoil-right") + ("unknot",) * 4, 23),
+    (("borromean", "borromean"), 61),
     ("chain 5", 1500),
     ("chain 5", 600),
 ])
 def test_lambda2_builds_few_sublinks(monkeypatch, names, most):
     # Building every sub-cable took 2,640 and 1,436 sublink calls on the two
-    # unions.  Rebuilding every sublink of each connected sub-cable took
-    # 11,107 on chain 5, and building each of its 2-parallel's 2^10 - 2
-    # proper sublinks once, the split ones included, took 1,022.
+    # unions, and restricting one cable of the whole union took 25 and 86:
+    # each split piece now has its own cable, and a piece seen before
+    # builds none.  Rebuilding every sublink of each connected sub-cable
+    # took 11,107 on chain 5, and building each of its 2-parallel's
+    # 2^10 - 2 proper sublinks once, the split ones included, took 1,022.
     built = []
     monkeypatch.setattr(invariants, "sublink", lambda *a: built.append(a) or sublink(*a))
     ohtsuki_lambda2(chain(5) if names == "chain 5" else plus_one_union(*names))
     assert len(built) <= most
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of ``module.name``."""
+    calls, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or function(*a))
+    return calls
+
+
+def test_lambda2_reads_a_split_piece_seen_before_from_the_memo(monkeypatch):
+    # Each split piece's sums are memoized without framings, so after the
+    # Borromean rings a union of two of them under other framings builds
+    # no cable and contracts no bracket: it only cuts out its two pieces.
+    # Restricting one cable of the whole union took 1 parallel and 52
+    # sublink calls.
+    union = plus_one_union("borromean", "borromean").diagram
+    p = SurgeryPresentation(with_framings(union, (-1, 1, 1, 1, -1, 1)))
+    ohtsuki_lambda2(sp("borromean-plus1"))
+    cables = count_calls(monkeypatch, invariants, "parallel")
+    built = count_calls(monkeypatch, invariants, "sublink")
+    contracted = count_calls(monkeypatch, skein, "_contract_piece")
+    value = ohtsuki_lambda2(p)
+    assert (len(cables), len(contracted)) == (0, 0)
+    assert len(built) <= 2
+    monkeypatch.undo()
+    memo.clear()
+    assert value == lambda2_every_subcable(p)
+
+
+@pytest.mark.parametrize("p, most", [
+    (SurgeryPresentation(with_framings(
+        disjoint_union(catalog.get("whitehead").diagram, catalog.get("whitehead").diagram),
+        (1, 1, 1, -1))), 3),
+    (catalog.presentation("split-seven-plus1"), 2),
+])
+def test_lambda2_difference_sums_cable_each_piece_once(monkeypatch, p, most):
+    # The sub-presentations of a split union share their pieces: W u W has
+    # three distinct ones (W and its two components), split-seven two (the
+    # trefoil and the unknot).  One cable per sub-presentation took 15 and
+    # 14 parallel calls.
+    cables = count_calls(monkeypatch, invariants, "parallel")
+    difference_sum(LAMBDA2, p)
+    assert len(cables) <= most
+
+
+def test_lambda2_piece_sums_hold_under_every_framing():
+    # One framing-free entry per piece serves every framing vector, W twice
+    # over among them: f^k reduces to the sign f^S of the components taken
+    # once.  The oracle weighs every sub-cable whole, on its own memo.
+    d = plus_one_union("whitehead", "trefoil-right", "whitehead").diagram
+    presentations = [SurgeryPresentation(with_framings(d, framings))
+                     for framings in product((1, -1), repeat=d.components)]
+    expected = [lambda2_every_subcable(p) for p in presentations]
+    memo.clear()
+    assert [ohtsuki_lambda2(p) for p in presentations] == expected
 
 
 @pytest.mark.parametrize("surgery_sum, name", [
