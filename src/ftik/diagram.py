@@ -184,29 +184,29 @@ class LinkDiagram:
         return out or self._face_violations()
 
     def _face_violations(self) -> list[str]:
-        """Euler's formula on every split piece: a planar diagram with V
-        crossings has 2V edges and so bounds exactly V + 2 faces.  A PD code
-        with virtual crossings traces fewer.  Faces are the cycles of the
-        dart map (c, s) -> (other end of the arc at slot s of c, slot + 1)."""
+        """Euler's formula: a planar split piece with V crossings has 2V
+        edges and bounds exactly V + 2 faces, and a piece of genus g bounds
+        2g fewer.  So the diagram is planar exactly when its faces number
+        V + 2p, for V crossings in p pieces with crossings; a PD code with
+        virtual crossings traces fewer.  Faces are the cycles of the dart
+        map (c, s) -> (other end of the arc at slot s of c, slot + 1)."""
         other_end = _other_end(self.crossings)
-        out = []
-        for comps, indices in self.split_pieces():
-            seen: set[tuple[int, int]] = set()
-            faces = 0
-            for dart in ((ci, slot) for ci in indices for slot in range(4)):
-                if dart in seen:
-                    continue
-                faces += 1
-                while dart not in seen:
-                    seen.add(dart)
-                    ci, slot = other_end[dart]
-                    dart = (ci, (slot + 1) % 4)
-            if indices and faces != len(indices) + 2:
-                out.append(
-                    f"components {comps} are not planar: {len(indices)} crossings "
-                    f"bound {faces} faces, a planar diagram bounds {len(indices) + 2}"
-                )
-        return out
+        seen: set[tuple[int, int]] = set()
+        faces = 0
+        for dart in other_end:
+            if dart in seen:
+                continue
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                ci, slot = other_end[dart]
+                dart = (ci, (slot + 1) % 4)
+        pieces = len(self.piece_masks((1 << self.components) - 1)) - self.unknotted_components
+        planar = len(self.crossings) + 2 * pieces
+        if faces == planar:
+            return []
+        return [f"diagram is not planar: {len(self.crossings)} crossings in {pieces} "
+                f"pieces bound {faces} faces, a planar diagram bounds {planar}"]
 
     @cached_property
     def _adjacency(self) -> tuple[int, ...]:
@@ -236,19 +236,6 @@ class LinkDiagram:
                 frontier |= grown
             pieces.append(piece)
             mask &= ~piece
-        return pieces
-
-    def split_pieces(self) -> list[tuple[list[int], list[int]]]:
-        """The split pieces as (component indices, crossing indices) pairs,
-        ordered by smallest component.  Two components share a piece when a
-        chain of crossings connects them; an unknot marker is a piece of its
-        own with no crossings."""
-        n = self.components
-        pieces = [([c for c in range(n) if mask >> c & 1], [])
-                  for mask in self.piece_masks((1 << n) - 1)]
-        piece_of = {c: piece for piece in pieces for c in piece[0]}
-        for i, (p, _q) in enumerate(self._component_pairs):
-            piece_of[p][1].append(i)
         return pieces
 
     # -- linking data -------------------------------------------------------

@@ -9,9 +9,11 @@ renamings that keep the order of arc ids, so the hit rate, not the
 values, depends on how a diagram's arcs are named.  Only returned values
 are stored: a computation that raises leaves no entry behind.
 
-Tables: ``bracket`` (per split piece), ``jones`` (the surgery sums store
-connected sublinks only, since the alternating sum reads V of a connected
-sublink alone; the ``jones`` row stores whatever diagram it is given),
+Tables: ``bracket`` (per diagram with crossings: the contraction of all
+its crossings, split pieces included, without the unknot-marker factors),
+``jones`` (the surgery sums store connected sublinks only, since the
+alternating sum reads V of a connected sublink alone; the ``jones`` row
+stores whatever diagram it is given),
 ``alt`` (the integral alternating sublink sum, per connected sublink),
 ``inverse`` (the series 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed
 by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and

@@ -1,13 +1,13 @@
 """Diagram polynomials: Kauffman bracket, Jones polynomial, Conway polynomial.
 
-The bracket is evaluated per split piece, which is a sublink of the
-diagram, by contracting crossings one at a time in an order planned once
-per piece.  The plan gives every open arc a fixed slot,
+The bracket of a diagram is evaluated by contracting all of its
+crossings, split pieces included, one at a time in an order planned once
+per diagram.  The plan gives every open arc a fixed slot,
 and a state is the tuple that pairs the open slots; states that reach the
 same pairing are merged, which is what makes cable diagrams tractable.
 The state model has integer coefficients, so each weight is packed into
 one ``int`` with one wide digit per power of A^2 above its lowest
-A-exponent, and becomes an ``IntLaurent`` only once per piece.  A
+A-exponent, and becomes an ``IntLaurent`` only once per diagram.  A
 contraction step that leaves more than ``_STATE_BUDGET`` pairings alive
 raises ``ResourceLimitError``.  The Jones polynomial follows the
 convention in which
@@ -18,7 +18,7 @@ i.e. the classical polynomial with t replaced by t^{-1} and an overall
 sign (-1)^(#components - 1).  The Conway polynomial is computed by a skein
 resolution tree that unknots diagrams towards descending form.
 
-Bracket pieces, Jones values and Conway polynomials are memoized in
+Brackets, Jones values and Conway polynomials are memoized in
 ``ftik.memo`` by ``LinkDiagram.canonical_key``, so every function here
 remains observably pure; a2 and psi2's a4 read one memoized Conway
 polynomial.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, count
 
 from . import memo
-from .diagram import LinkDiagram, smooth_crossing, sublink, switch_crossing
+from .diagram import LinkDiagram, smooth_crossing, switch_crossing
 from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, IntLaurent, TruncSeries, laurent_to_series
 
@@ -107,8 +107,9 @@ def _contraction_plan(crossings: tuple) -> tuple[int, list]:
 
 
 def _contract_piece(d: LinkDiagram) -> IntLaurent:
-    """Bracket of a diagram with one split piece, normalized so a single
-    loop gives 1.
+    """Bracket of the crossings of a diagram with at least one crossing,
+    split or not, normalized so a single loop gives 1; unknot markers are
+    left out.
 
     A state is a tuple over the plan's slots: an open arc's slot holds the
     slot at the other end of its strand, a free slot holds -1.  Its weight
@@ -184,21 +185,17 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
 def kauffman_bracket(d: LinkDiagram) -> IntLaurent:
     """Exact bracket polynomial in A, normalized with <unknot> = 1.
 
-    Split pieces, each ``sublink(d, comps)`` or d itself when d has one,
-    are contracted independently and multiplied, with one loop factor
-    -A^2 - A^(-2) per extra piece or bare unknot component.
+    One contraction runs over all of d's crossings, split pieces included,
+    since <L1 u L2> = (-A^2 - A^(-2)) <L1> <L2>; each bare unknot component
+    adds one more loop factor.  The greedy plan finishes one piece before it
+    opens the next, so a split diagram peaks at its largest piece's peak.
     """
     if d.components == 0:
         raise ValueError("the bracket of the empty diagram is handled one level up")
-    pieces = d.split_pieces()
-    result = _DELTA ** (len(pieces) - 1)
-    for comps, indices in pieces:
-        if indices:
-            piece = d if len(pieces) == 1 else sublink(d, comps)
-            result = result * memo.lookup(
-                "bracket", piece.canonical_key(), _contract_piece, piece
-            )
-    return result
+    if not d.crossings:
+        return _DELTA ** (d.components - 1)
+    return _DELTA ** d.unknotted_components * memo.lookup(
+        "bracket", d.canonical_key(), _contract_piece, d)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def _conway(d: LinkDiagram, node_budget: int) -> IntLaurent:
             raise ResourceLimitError(
                 f"conway resolution exceeded {node_budget} nodes"
             )
-        if len(d.split_pieces()) != 1:
+        if len(d.piece_masks((1 << d.components) - 1)) != 1:
             return IntLaurent.zero()
         bad = _first_bad_crossing(d)
         if bad is None:

@@ -26,7 +26,8 @@ sub-cable's weights off its connected pieces instead.
 connected sum drawn by swapping the head ends of one arc of each.
 
 ``split_pieces_union_find`` joins the components of each crossing in a
-union-find; the library grows each piece over a bitmask adjacency.
+union-find and returns the pieces as component bitmasks ordered by smallest
+component; the library grows each piece over a bitmask adjacency.
 
 ``sublink_union_find`` restricts a diagram to some components by joining
 the fused arcs in a union-find and re-tracing the successor cycles; the
@@ -35,12 +36,12 @@ plans the bracket contraction by rescoring every remaining crossing at
 each step; the library keeps a running count of open arcs per crossing.
 
 ``kauffman_bracket_naive`` sums the bracket over all 2^n states, tracing
-each state's loops in a union-find; the library contracts split pieces
-crossing by crossing and merges states.
+each state's loops in a union-find; the library contracts the whole
+diagram, split pieces included, crossing by crossing and merges states.
 
-``contract_piece_dict`` contracts a bracket piece on the library's plan and
-state tuples, but keeps each state's weight as a ``dict`` from A-exponent
-to coefficient; the library packs each weight into one integer.
+``contract_piece_dict`` contracts a diagram's crossings on the library's
+plan and state tuples, but keeps each state's weight as a ``dict`` from
+A-exponent to coefficient; the library packs each weight into one integer.
 """
 
 import math
@@ -151,15 +152,14 @@ def tie_knot(d: LinkDiagram, comp: int, k: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), union.over_in, tuple(component_arcs), d.framings)
 
 
-def split_pieces_union_find(d: LinkDiagram) -> list[tuple[list[int], list[int]]]:
+def split_pieces_union_find(d: LinkDiagram) -> list[int]:
     uf = _UnionFind()
     for p, q in d._component_pairs:
         uf.join(p, q)
-    pieces: dict[int, tuple[list[int], list[int]]] = {}
+    pieces: dict[int, int] = {}
     for comp in range(d.components):
-        pieces.setdefault(uf.find(comp), ([], []))[0].append(comp)
-    for i, (p, _q) in enumerate(d._component_pairs):
-        pieces[uf.find(p)][1].append(i)
+        root = uf.find(comp)
+        pieces[root] = pieces.get(root, 0) | 1 << comp
     return list(pieces.values())
 
 
@@ -204,10 +204,11 @@ _LOOP_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 
 def contract_piece_dict(d: LinkDiagram) -> IntLaurent:
-    """Bracket of a diagram with one split piece, normalized so a single
-    loop gives 1, with one ``dict`` weight per state: a smoothing multiplies
-    the weight by A^(+-1) times the ``_LOOP_POWERS`` entry of the loops it
-    closed and adds the product into the weight of the resulting state."""
+    """Bracket of the crossings of a diagram with at least one crossing,
+    split or not, normalized so a single loop gives 1, with one ``dict``
+    weight per state: a smoothing multiplies the weight by A^(+-1) times
+    the ``_LOOP_POWERS`` entry of the loops it closed and adds the product
+    into the weight of the resulting state."""
     n_slots, plan = _contraction_plan(d.crossings)
     closed = (-1,) * n_slots
     states: dict[tuple, dict[int, int]] = {closed: {0: 1}}

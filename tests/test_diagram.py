@@ -301,21 +301,20 @@ def test_surgery_presentation_mirror_negates_framings():
     assert sp.mirror().diagram.framings == (-1,)
 
 
+def all_pieces(d):
+    return d.piece_masks((1 << d.components) - 1)
+
+
 def test_split_pieces():
     def pieces(name):
-        return [(comps, len(crossings)) for comps, crossings
-                in catalog.get(name).diagram.split_pieces()]
+        return all_pieces(catalog.get(name).diagram)
 
-    assert pieces("trefoils-two-plus1") == [([0], 3), ([1], 3)]
-    assert pieces("borromean-unknot-plus1") == [([0, 1, 2], 6), ([3], 0)]
-    assert pieces("split-seven-plus1") == [([0], 3)] + [([c], 0) for c in range(1, 7)]
-    # The crossing indices of the pieces partition the diagram's crossings.
-    d = catalog.get("trefoils-two-plus1").diagram
-    found = sorted(i for _comps, crossings in d.split_pieces() for i in crossings)
-    assert found == list(range(len(d.crossings)))
+    assert pieces("trefoils-two-plus1") == [0b1, 0b10]
+    assert pieces("borromean-unknot-plus1") == [0b111, 0b1000]
+    assert pieces("split-seven-plus1") == [1 << c for c in range(7)]
     for entry in catalog.entries():
         for d in (entry.diagram, parallel(entry.diagram, 2)):
-            assert d.split_pieces() == split_pieces_union_find(d), entry.name
+            assert all_pieces(d) == split_pieces_union_find(d), entry.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,14 +323,15 @@ def test_split_pieces_match_union_find_oracle(closures, data):
     d = closures[0]
     for other in closures[1:]:
         d = disjoint_union(d, other)
-    assert d.split_pieces() == split_pieces_union_find(d)
+    assert all_pieces(d) == split_pieces_union_find(d)
     keep = data.draw(st.sets(st.integers(0, d.components - 1)))
     sub = sublink(d, keep)
-    assert sub.split_pieces() == split_pieces_union_find(sub)
+    assert all_pieces(sub) == split_pieces_union_find(sub)
     # The pieces of a sublink are the pieces of its mask, renumbered.
     kept = sorted(keep)
     assert d.piece_masks(sum(1 << c for c in kept)) == [
-        sum(1 << kept[c] for c in comps) for comps, _crossings in sub.split_pieces()]
+        sum(1 << comp for c, comp in enumerate(kept) if piece >> c & 1)
+        for piece in all_pieces(sub)]
 
 
 VIRTUAL_PD = [[2, 3, 4, 1], [4, 1, 3, 2]]
@@ -345,6 +345,21 @@ def test_virtual_pd_code_is_rejected():
     assert any("planar" in v for v in exc.value.violations)
     crossings = tuple(tuple(c) for c in VIRTUAL_PD)
     d = LinkDiagram.assemble(crossings, (1, 1))
+    assert any("planar" in v for v in d.validate())
+
+
+def test_virtual_piece_beside_a_planar_one_is_rejected():
+    # The faces are counted once over the whole diagram: the trefoil bounds
+    # 5 and the virtual piece 2, where two planar pieces would bound 5 + 4.
+    # The 7 faces equal V + 2 for V = 5, so the count needs 2 per piece.
+    shifted = [[arc + 6 for arc in cr] for cr in VIRTUAL_PD]
+    with pytest.raises(DiagramError) as exc:
+        LinkDiagram.from_pd(TREFOIL_PD + shifted)
+    assert any("planar" in v for v in exc.value.violations)
+    trefoil = LinkDiagram.from_pd(TREFOIL_PD)
+    crossings = trefoil.crossings + tuple(tuple(cr) for cr in shifted)
+    d = LinkDiagram.assemble(crossings, trefoil.over_in + (1, 1))
+    assert all_pieces(d) == [0b1, 0b10]
     assert any("planar" in v for v in d.validate())
 
 

@@ -17,7 +17,6 @@ from ftik.diagram import (
     mirror,
     parallel,
     smooth_crossing,
-    sublink,
     switch_crossing,
 )
 from ftik.errors import ResourceLimitError
@@ -131,17 +130,10 @@ def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
         cable.crossings)
 
 
-def split_pieces(d):
-    """The one-piece diagrams that ``kauffman_bracket`` contracts for ``d``."""
-    pieces = d.split_pieces()
-    for comps, indices in pieces:
-        if indices:
-            yield d if len(pieces) == 1 else sublink(d, comps)
-
-
 def assert_kernels_agree(d):
-    for piece in split_pieces(d):
-        assert skein._contract_piece(piece) == contract_piece_dict(piece)
+    # Both kernels contract every crossing of d at once, split or not.
+    if d.crossings:
+        assert skein._contract_piece(d) == contract_piece_dict(d)
 
 
 def test_packed_kernel_matches_dict_kernel_on_catalog_and_cables():
@@ -178,6 +170,37 @@ def test_bracket_peak_states_on_cables(monkeypatch, name):
     monkeypatch.setattr(skein, "_STATE_BUDGET", peak)
     memo.clear()
     kauffman_bracket(cable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(braid_words(3, 4).map(lambda w: closed_braid(*w)), min_size=2, max_size=3))
+def test_bracket_contracts_split_unions_whole(closures):
+    # Strands a word leaves untouched close into unknot markers, so some
+    # unions hold markers between pieces with crossings.
+    rest = closures[1]
+    for other in closures[2:]:
+        rest = disjoint_union(rest, other)
+    d = disjoint_union(closures[0], rest)
+    memo.clear()
+    assert kauffman_bracket(d) == kauffman_bracket_naive(d)
+    assert jones(d) == HALF_SUM * jones(closures[0]) * jones(rest)
+
+
+def test_bracket_finishes_one_piece_before_the_next(monkeypatch):
+    # The 2-parallel of the Borromean rings alone peaks at 42 states and
+    # the Whitehead one at 14, and so must their union: a plan that worked
+    # on one cable while several states of the other were alive would
+    # multiply the two counts.
+    w, b = catalog.get("whitehead").diagram, catalog.get("borromean").diagram
+    cable = parallel(disjoint_union(w, b), 2)
+    monkeypatch.setattr(skein, "_STATE_BUDGET", 41)
+    memo.clear()
+    with pytest.raises(ResourceLimitError):
+        kauffman_bracket(cable)
+    monkeypatch.setattr(skein, "_STATE_BUDGET", 42)
+    memo.clear()
+    assert kauffman_bracket(cable) == (
+        skein._DELTA * kauffman_bracket(parallel(w, 2)) * kauffman_bracket(parallel(b, 2)))
 
 
 def test_bracket_pieces_are_sublinks(monkeypatch):
