@@ -238,6 +238,17 @@ class LinkDiagram:
             mask &= ~piece
         return pieces
 
+    @staticmethod
+    def mask_components(mask: int) -> list[int]:
+        """The components whose bits are set in ``mask``, in increasing
+        order, found in one step per set bit."""
+        comps = []
+        while mask:
+            low = mask & -mask
+            comps.append(low.bit_length() - 1)
+            mask ^= low
+        return comps
+
     # -- linking data -------------------------------------------------------
 
     def linking_matrix(self) -> list[list[int]]:
@@ -245,23 +256,29 @@ class LinkDiagram:
         framings on it.  An odd signed crossing count between two
         components means the diagram is malformed."""
         n = self.components
-        sums = [[0] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
+        for p, f in enumerate(self.framings):
+            out[p][p] = f
+        for (p, q), lk in self._linking_numbers().items():
+            out[p][q] = out[q][p] = lk
+        return out
+
+    def _linking_numbers(self) -> dict[_Pair, int]:
+        """The nonzero linking numbers by component pair (p, q), p < q, in
+        that order.  Only components that share a crossing can link, so one
+        pass over the crossings finds them all; an odd signed crossing
+        count between two of them raises ``DiagramError``."""
+        sums: dict[_Pair, int] = {}
         for i, (p, q) in enumerate(self._component_pairs):
             if p != q:
-                s = self.crossing_sign(i)
-                sums[p][q] += s
-                sums[q][p] += s
-        out = [[0] * n for _ in range(n)]
-        for p in range(n):
-            out[p][p] = self.framings[p]
-            for q in range(n):
-                if p == q:
-                    continue
-                if sums[p][q] % 2 != 0:
-                    raise DiagramError(
-                        f"odd signed crossing sum between components {p} and {q}"
-                    )
-                out[p][q] = sums[p][q] // 2
+                pair = (min(p, q), max(p, q))
+                sums[pair] = sums.get(pair, 0) + self.crossing_sign(i)
+        out = {}
+        for (p, q), s in sorted(sums.items()):
+            if s % 2 != 0:
+                raise DiagramError(f"odd signed crossing sum between components {p} and {q}")
+            if s:
+                out[p, q] = s // 2
         return out
 
     # -- canonical key ------------------------------------------------------
@@ -557,7 +574,7 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     marker or a loop whose crossings all vanished, gets ``()``.
     """
     keep = frozenset(keep)
-    bad = keep - set(range(d.components))
+    bad = [c for c in keep if c not in range(d.components)]
     if bad:
         raise DiagramError(f"unknown component indices {sorted(bad)}")
     walks = d._strand_walks
@@ -751,13 +768,8 @@ class SurgeryPresentation:
             if not _is_int(f) or f not in (1, -1):
                 problems.append(f"component {i} has framing {f}, expected +1 or -1")
         if not problems:
-            lk = d.linking_matrix()
-            for p in range(d.components):
-                for q in range(p + 1, d.components):
-                    if lk[p][q] != 0:
-                        problems.append(
-                            f"components {p} and {q} have linking number {lk[p][q]}"
-                        )
+            problems = [f"components {p} and {q} have linking number {lk}"
+                        for (p, q), lk in d._linking_numbers().items()]
         if problems:
             raise DiagramError(problems)
 

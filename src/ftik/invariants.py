@@ -109,7 +109,7 @@ from . import memo
 from .diagram import LinkDiagram, SurgeryPresentation, parallel, sublink
 from .errors import DiagramError, ResourceLimitError
 from .series import HalfLaurent, TruncSeries, compose_exp_minus_one, laurent_to_series
-from .skein import _SUBLINK_BUDGET, HALF_SUM, conway, jones, jones_series
+from .skein import HALF_SUM, conway, jones, jones_series
 
 clear_caches = memo.clear
 
@@ -165,6 +165,12 @@ def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     return (-2) ** n * sublink_alternating_series(d, n + i).coeff(n + i)
 
 
+# Most sublinks one sum may walk: 2^k - 1 submasks of a k-component piece
+# for P, which also bounds the surgery sums' walk over one piece at a time,
+# and 2^#L sub-presentations for a difference sum.
+_SUBLINK_BUDGET = 10**6
+
+
 def _check_budget(count: int, walk: str) -> None:
     """Refuse a walk over ``count`` sublinks past the budget, before it
     starts; ``walk`` names it, with ``{}`` where the count goes."""
@@ -213,8 +219,7 @@ class _Sublinks:
             pieces = self._d.piece_masks(mask)
             if len(pieces) == 1:
                 if mask not in self._built:
-                    comps = [c for c in range(mask.bit_length()) if mask >> c & 1]
-                    self._built[mask] = sublink(self._d, comps)
+                    self._built[mask] = sublink(self._d, self._d.mask_components(mask))
                 p = memo.lookup("alt", self._built[mask].canonical_key(), self._alt_piece, mask)
             else:
                 p = math.prod(map(self.alt, pieces), start=HALF_SUM ** (len(pieces) - 1))
@@ -225,7 +230,7 @@ class _Sublinks:
         # Horner's rule in sublink size: P = V - T_(n-1), where T_0 = 1 and
         # T_k = s (T_(k-1) + the sum of P over the k-component sublinks).
         # Most submasks of an ASL cable hold a piece with P = 0.
-        bits = [1 << c for c in range(mask.bit_length()) if mask >> c & 1]
+        bits = [1 << c for c in self._d.mask_components(mask)]
         total = HalfLaurent.one()
         for size in range(1, len(bits)):
             for keep in combinations(bits, size):
@@ -267,7 +272,7 @@ def _casson_sum(d: LinkDiagram) -> Fraction:
         while mask:
             phi1 = weights(mask, 1)
             if phi1 != 0:
-                total += phi1 * math.prod(f for c, f in enumerate(d.framings) if mask >> c & 1)
+                total += phi1 * math.prod(d.framings[c] for c in d.mask_components(mask))
             mask = (mask - 1) & piece
     return total / 6
 
@@ -309,12 +314,11 @@ def _lambda2_sum(d: LinkDiagram) -> Fraction:
     pieces = d.piece_masks((1 << d.components) - 1)
     total = crossed = Fraction(0)
     for mask in pieces:
-        piece = d if len(pieces) == 1 else sublink(
-            d, [c for c in range(d.components) if mask >> c & 1])
+        piece = d if len(pieces) == 1 else sublink(d, d.mask_components(mask))
         a = b = Fraction(0)
         for signs, alpha, beta in memo.lookup(
                 "lambda2_piece", piece.canonical_key(), _lambda2_piece, piece):
-            sign = math.prod(f for c, f in enumerate(piece.framings) if signs >> c & 1)
+            sign = math.prod(piece.framings[c] for c in piece.mask_components(signs))
             a += sign * alpha
             b += sign * beta
         total += a + crossed * b

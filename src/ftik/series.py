@@ -12,10 +12,9 @@ Three value types cover everything the invariant pipeline needs:
 
 Laurent coefficients are ``int``: every polynomial the pipeline builds
 (bracket, Jones, Conway, the alternating sublink sum) has integer
-coefficients, and exact division checks its remainder.  Series
-coefficients are ``fractions.Fraction``.  Nothing here ever rounds.
-Values are immutable, so everything in this module is safe to share
-between threads.
+coefficients.  Series coefficients are ``fractions.Fraction``.  Nothing
+here ever rounds.  Values are immutable, so everything in this module is
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -123,38 +122,6 @@ class _Laurent:
             n >>= 1
         return result
 
-    def divide_exact(self, divisor):
-        """Exact division; raises ``SingularSeriesError`` unless the
-        quotient is a Laurent polynomial with integer coefficients."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return type(self)(())
-        rem = self.as_dict()
-        dlead_e, dlead_c = divisor.terms[-1]
-        # An exact quotient cannot reach below the difference of the lowest
-        # exponents; descending past that bound means inexact division.
-        min_q_e = self.terms[0][0] - divisor.terms[0][0]
-        quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            q_e = e - dlead_e
-            q_c, r = divmod(rem[e], dlead_c)
-            if q_e < min_q_e or r:
-                raise SingularSeriesError("inexact Laurent division")
-            quot[q_e] = q_c
-            for de, dc in divisor.terms:
-                key = de + q_e
-                v = rem.get(key, 0) - dc * q_c
-                if v == 0:
-                    rem.pop(key, None)
-                else:
-                    rem[key] = v
-        check = type(self).from_dict(quot) * divisor
-        if check != self:
-            raise SingularSeriesError("inexact Laurent division")
-        return type(self).from_dict(quot)
-
 
 class IntLaurent(_Laurent):
     """Laurent polynomial with integer exponents."""
@@ -166,11 +133,6 @@ class HalfLaurent(_Laurent):
     The key ``h`` represents the monomial x^(h/2); keeping the doubled
     exponent as an integer keeps arithmetic exact and orderable.
     """
-
-    @classmethod
-    def from_int_exponents(cls, p: IntLaurent) -> "HalfLaurent":
-        """Reinterpret integer exponents e as whole powers x^e (stored as 2e halves)."""
-        return cls(tuple((2 * e, c) for e, c in p.terms))
 
 
 def format_rational(x: RationalLike) -> str:

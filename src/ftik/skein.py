@@ -41,11 +41,6 @@ _DELTA = IntLaurent.from_dict({2: -1, -2: -1})
 # Most boundary pairings one contraction step may leave alive.
 _STATE_BUDGET = 10**6
 
-# Most sublinks one sum may walk: 2^k - 1 submasks of a k-component piece
-# for P, which also bounds the surgery sums' walk over one piece at a time,
-# and 2^#L sub-presentations for a difference sum.
-_SUBLINK_BUDGET = 10**6
-
 # t^(1/2) + t^(-1/2), the unknot factor of split unions.
 HALF_SUM = HalfLaurent.from_dict({1: 1, -1: 1})
 
@@ -129,7 +124,14 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
     and by -2 per loop it closed, and multiplies ``x`` by the packed
     (-A^2 - A^(-2))^loops.  Adding into a state whose ``low`` differs
     shifts the operand with the higher ``low`` left by b digits per A^2.
-    The closed state's weight is decoded into an ``IntLaurent`` once.
+
+    The sum over all paths is (-A^2 - A^(-2)) times the bracket.  The last
+    crossing's two joins leave no slot open, so every path closes one or
+    two loops there; that step multiplies by the factors for one loop
+    fewer, and ``low`` gets its 2 back before decoding.  So one loop is
+    credited on every path, which gives the bracket itself, and the bound
+    above still holds.  The closed state's weight is decoded into an
+    ``IntLaurent`` once.
     """
     n_slots, plan = _contraction_plan(d.crossings)
     b = 3 * len(d.crossings) + 2
@@ -137,7 +139,11 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
     loop_factors = (1, -(1 + (1 << 2 * b)), 1 + (1 << (2 * b + 1)) + (1 << 4 * b))
     closed = (-1,) * n_slots
     states: dict[tuple, tuple[int, int]] = {closed: (0, 1)}
-    for branches in plan:
+    last = len(plan) - 1
+    for step, branches in enumerate(plan):
+        if step == last:
+            # Every path closes one or two loops here; credit one of them.
+            loop_factors = (None,) + loop_factors[:2]
         new_states: dict[tuple, tuple[int, int]] = {}
         for key, (low, x) in states.items():
             for joins, shift in branches:
@@ -170,6 +176,7 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
         states = new_states
     assert set(states) <= {closed}
     low, x = states.get(closed, (0, 0))
+    low += 2
     mask, half = (1 << b) - 1, 1 << (b - 1)
     coeffs: dict[int, int] = {}
     while x:
@@ -179,7 +186,7 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
         coeffs[low] = c
         x = (x - c) >> b
         low += 2
-    return IntLaurent.from_dict(coeffs).divide_exact(_DELTA)
+    return IntLaurent.from_dict(coeffs)
 
 
 def kauffman_bracket(d: LinkDiagram) -> IntLaurent:

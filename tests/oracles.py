@@ -41,7 +41,9 @@ diagram, split pieces included, crossing by crossing and merges states.
 
 ``contract_piece_dict`` contracts a diagram's crossings on the library's
 plan and state tuples, but keeps each state's weight as a ``dict`` from
-A-exponent to coefficient; the library packs each weight into one integer.
+A-exponent to coefficient and counts every loop, so it returns
+(-A^2 - A^(-2)) times the bracket; the library packs each weight into one
+integer and credits one loop at the last crossing.
 """
 
 import math
@@ -204,11 +206,12 @@ _LOOP_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 
 def contract_piece_dict(d: LinkDiagram) -> IntLaurent:
-    """Bracket of the crossings of a diagram with at least one crossing,
-    split or not, normalized so a single loop gives 1, with one ``dict``
-    weight per state: a smoothing multiplies the weight by A^(+-1) times
-    the ``_LOOP_POWERS`` entry of the loops it closed and adds the product
-    into the weight of the resulting state."""
+    """(-A^2 - A^(-2)) times the bracket of the crossings of a diagram with
+    at least one crossing, split or not: the plain state sum, in which
+    every loop counts, with one ``dict`` weight per state.  A smoothing
+    multiplies the weight by A^(+-1) times the ``_LOOP_POWERS`` entry of
+    the loops it closed and adds the product into the weight of the
+    resulting state."""
     n_slots, plan = _contraction_plan(d.crossings)
     closed = (-1,) * n_slots
     states: dict[tuple, dict[int, int]] = {closed: {0: 1}}
@@ -233,7 +236,7 @@ def contract_piece_dict(d: LinkDiagram) -> IntLaurent:
                         acc[we + fe] = acc.get(we + fe, 0) + fc * wc
         states = new_states
     assert set(states) <= {closed}
-    return IntLaurent.from_dict(states.get(closed, {})).divide_exact(_DELTA)
+    return IntLaurent.from_dict(states.get(closed, {}))
 
 
 def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:

@@ -67,8 +67,10 @@ def test_difference_sum_lambda2_vanishes_on_seven_split():
 def test_lambda2_difference_sums_of_graph_links():
     # theta u theta is split, so Delta lambda2 = 36 = 18 Delta casson^2 is
     # the cross term lambda1 lambda1 / 2 of the connected-sum rule, and
-    # lambda2 - 18 casson^2 is of lower order there.  Chains 5 and 6 are not
-    # split; on chain 6 lambda2 - 18 casson^2 vanishes as well.
+    # lambda2 - 18 casson^2 is of lower order there.  Chains 5, 6 and 7 are
+    # not split; on chain 6 lambda2 - 18 casson^2 vanishes as well, and on
+    # chain 7 Delta lambda2 vanishes, as an invariant of order <= 6 must on
+    # 7 components.
     theta_theta = graph_link(6, [(0, 1, 2), (3, 4, 5)])
     squared = InvariantFunction("casson^2", lambda sp: CASSON(sp) ** 2)
     rest = InvariantFunction("lambda2 - 18 casson^2",
@@ -78,6 +80,7 @@ def test_lambda2_difference_sums_of_graph_links():
     assert difference_sum(rest, theta_theta) == 0
     assert difference_sum(LAMBDA2, chain(5)) == -60
     assert difference_sum(rest, chain(6)) == 0
+    assert difference_sum(LAMBDA2, chain(7)) == 0
 
 
 def test_difference_sum_checks_the_whole_presentation_first():

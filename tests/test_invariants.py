@@ -2,6 +2,7 @@
 the induced knot invariant psi2."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -635,14 +636,35 @@ def test_lambda2_refuses_a_cable_piece_past_the_budget():
 
 def test_surgery_sums_on_split_unknots_are_instant():
     # Each unknot is a split piece with phi_1 = 0 on every sub-cable of its
-    # cable, so both sums are 0.  Walking all 3^12 - 1 sub-cables of 12
-    # unknots took 3.5 s; the walk over one piece at a time is linear in
-    # the number of pieces.
+    # cable, so it adds nothing to either sum.  Walking all 3^12 - 1
+    # sub-cables of 12 unknots takes seconds; the walk over one piece at a
+    # time, and the presentation check, which reads only the component
+    # pairs that share a crossing, are linear in the number of pieces.  A
+    # dense linking matrix of 2,001 components would peak at 64 MB.
     framings = tuple((1, -1, -1)[c % 3] for c in range(40))
     unlink = SurgeryPresentation(LinkDiagram.from_pd([], framings, 40))
     start = time.perf_counter()
     assert (ohtsuki_lambda2(unlink), casson_invariant(unlink)) == (0, 0)
     assert time.perf_counter() - start < 1
+
+    start = time.perf_counter()
+    trefoil = catalog.get("trefoil-right").diagram
+    d = with_framings(disjoint_union(trefoil, LinkDiagram.from_pd([], None, 2000)),
+                      (1,) + framings * 50)
+    tracemalloc.start()
+    try:
+        presentation = SurgeryPresentation(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert (ohtsuki_lambda2(presentation), casson_invariant(presentation)) == (39, 1)
+    assert time.perf_counter() - start < 1
+
+    hopf = with_framings(catalog.get("hopf-positive").diagram, (1, 1))
+    with pytest.raises(DiagramError) as exc:
+        SurgeryPresentation(hopf)
+    assert exc.value.violations == ["components 0 and 1 have linking number 1"]
 
 
 def test_jones_exp_derivatives_frozen():

@@ -30,35 +30,6 @@ def test_laurent_negative_exponents():
     assert p == IntLaurent.monomial(3, 6)
 
 
-def test_divide_exact():
-    z = IntLaurent.monomial(1)
-    num = z**3 - z
-    quotient = num.divide_exact(z**2 - IntLaurent.one())
-    assert quotient == z
-    # Division by a monomial is always exact in the Laurent ring.
-    assert (z + IntLaurent.one()).divide_exact(z) == \
-        IntLaurent.one() + IntLaurent.monomial(-1)
-    with pytest.raises(SingularSeriesError):
-        (z**2 + IntLaurent.one()).divide_exact(z + IntLaurent.one())
-
-
-def test_divide_exact_rejects_a_fractional_quotient():
-    # Coefficients are integers, so z / 2 is not exact, and the quotient
-    # must not be truncated to 0.
-    with pytest.raises(SingularSeriesError):
-        IntLaurent.monomial(1).divide_exact(IntLaurent.monomial(0, 2))
-    assert IntLaurent.monomial(1, 4).divide_exact(IntLaurent.monomial(0, -2)) == \
-        IntLaurent.monomial(1, -2)
-
-
-def test_half_laurent_embedding():
-    p = IntLaurent.monomial(2) + IntLaurent.one()
-    h = HalfLaurent.from_int_exponents(p)
-    # Integer exponent k lives at doubled slot 2k.
-    assert h.coeff(4) == 1 and h.coeff(0) == 1
-    assert h * HalfLaurent.monomial(1) == HalfLaurent.from_dict({5: 1, 1: 1})
-
-
 def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 2)) == "-7/2"

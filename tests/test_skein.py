@@ -131,9 +131,10 @@ def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
 
 
 def assert_kernels_agree(d):
-    # Both kernels contract every crossing of d at once, split or not.
+    # Both kernels contract every crossing of d at once, split or not; the
+    # dict kernel counts every loop, so it gives (-A^2 - A^(-2)) <d>.
     if d.crossings:
-        assert skein._contract_piece(d) == contract_piece_dict(d)
+        assert contract_piece_dict(d) == skein._DELTA * skein._contract_piece(d)
 
 
 def test_packed_kernel_matches_dict_kernel_on_catalog_and_cables():
