@@ -23,37 +23,6 @@ Crossing = tuple[int, int, int, int]
 _Pair = tuple[int, int]
 
 
-class _UnionFind:
-    """Union-find over arc ids, joined by size.  An id that was never
-    joined is its own singleton class."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        up = parent.get(root, root)
-        while up != root:
-            root = up
-            up = parent.get(root, root)
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def join(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        size = self.size
-        sx, sy = size.get(rx, 1), size.get(ry, 1)
-        if sx < sy:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        size[rx] = sx + sy
-
-
 @dataclass(frozen=True)
 class LinkDiagram:
     """An oriented link diagram with per-component integer framings.
@@ -130,14 +99,16 @@ class LinkDiagram:
         return tuple([(comp_of[a], comp_of[b]) for a, b, _c, _e in self.crossings])
 
     @cached_property
-    def _strand_walks(self) -> tuple[tuple[_Pair, ...], ...]:
-        """Per component, its arcs in order, each paired with the component
-        met at its head (the crossing where the arc ends)."""
+    def _strand_walks(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per component, its arcs in order, each as (arc, the component
+        met at its head, the index of the crossing at its head), the head
+        being the crossing where the arc ends."""
         met = {}
-        for cr, oi, (p, q) in zip(self.crossings, self.over_in, self._component_pairs):
-            met[cr[0]] = q
-            met[cr[oi]] = p
-        return tuple(tuple((a, met[a]) for a in arcs) for arcs in self.component_arcs)
+        for i, (cr, oi, (p, q)) in enumerate(
+                zip(self.crossings, self.over_in, self._component_pairs)):
+            met[cr[0]] = q, i
+            met[cr[oi]] = p, i
+        return tuple(tuple((a, *met[a]) for a in arcs) for arcs in self.component_arcs)
 
     def is_empty(self) -> bool:
         return self.components == 0
@@ -529,25 +500,28 @@ def smooth_crossing(d: LinkDiagram, i: int) -> LinkDiagram:
 
     Component structure is rebuilt from scratch since the smoothing can
     merge two components or split one; framings are reset to zero (the
-    operation is only meaningful inside skein recursions).  Each of the two
-    joined arc classes that no remaining crossing reads holds only arcs
-    seen twice at crossing ``i``, so it has closed into a free loop.
+    operation is only meaningful inside skein recursions).  The under-arc
+    in ``a`` joins the over-arc out, and the over-arc in joins the under-arc
+    out ``c``.  The first pair is named ``a`` and the second ``o_in``; the
+    two pairs share an arc only when ``a == c`` or ``o_in == o_out`` (an
+    arc has one head and one tail), and then both are named ``a``.  Each
+    of these names that no remaining crossing reads stands for arcs seen
+    twice at crossing ``i`` only, so it has closed into a free loop.
     """
     a, b, c, e = d.crossings[i]
     if d.over_in[i] == 1:
         o_in, o_out = b, e
     else:
         o_in, o_out = e, b
-    uf = _UnionFind()
-    uf.join(a, o_out)
-    uf.join(o_in, c)
+    second = a if a == c or o_in == o_out else o_in
+    rename = {o_out: a, o_in: second, c: second}
     remaining = [
-        (tuple(uf.find(x) for x in cr), oi)
+        (tuple(rename.get(x, x) for x in cr), oi)
         for j, (cr, oi) in enumerate(zip(d.crossings, d.over_in))
         if j != i
     ]
     used = {x for cr, _oi in remaining for x in cr}
-    free_loops = len({uf.find(a), uf.find(o_in)} - used)
+    free_loops = len({a, second} - used)
     crossings = tuple(cr for cr, _oi in remaining)
     over_in = tuple(oi for _cr, oi in remaining)
     return LinkDiagram.assemble(
@@ -567,7 +541,10 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     starting at the run of arcs that holds its first arc.  A run of arcs
     between two kept crossings becomes one fused arc, and the runs are
     numbered 1, 2, ... in walk order, component after component: the
-    position numbering of ``canonical_key``.  Runs of a sublink are unions
+    position numbering of ``canonical_key``.  The same walk collects the
+    index of each kept crossing, met once by each of its two strands, and
+    the kept crossings keep d's order; no other crossing of d is read, so
+    the cost is linear in the kept strands.  Runs of a sublink are unions
     of runs of d, and its first run holds d's first arc, so
     ``sublink(sublink(d, A), B')`` equals ``sublink(d, B)`` whenever B'
     indexes B within A.  A kept component that no kept crossing reads, a
@@ -580,6 +557,7 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
     walks = d._strand_walks
     kept_comps = sorted(keep)
     name: dict[int, int] = {}
+    kept: set[int] = set()
     component_arcs: list[tuple[int, ...]] = []
     fused = 1
     for comp in kept_comps:
@@ -592,18 +570,15 @@ def sublink(d: LinkDiagram, keep: Iterable[int]) -> LinkDiagram:
             continue
         # The run after the last kept crossing holds the first arc.
         first = fused
-        for arc, met in walk[last + 1:] + walk[:last + 1]:
+        for arc, met, i in walk[last + 1:] + walk[:last + 1]:
             name[arc] = fused
             if met in keep:
                 fused += 1
+                kept.add(i)
         component_arcs.append(tuple(range(first, fused)))
-    kept = [
-        ((name[a], name[b], name[c], name[e]), oi)
-        for (a, b, c, e), oi, (p, q) in zip(d.crossings, d.over_in, d._component_pairs)
-        if p in keep and q in keep
-    ]
-    crossings = tuple(cr for cr, _oi in kept)
-    over_in = tuple(oi for _cr, oi in kept)
+    kept_order = sorted(kept)
+    crossings = tuple(tuple(name[x] for x in d.crossings[i]) for i in kept_order)
+    over_in = tuple(d.over_in[i] for i in kept_order)
     framings = tuple(d.framings[comp] for comp in kept_comps)
     return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
 

@@ -268,6 +268,8 @@ def _casson_sum(d: LinkDiagram) -> Fraction:
     weights = _Sublinks(d)
     total = Fraction(0)
     for piece in d.piece_masks((1 << d.components) - 1):
+        if not d.component_arcs[piece.bit_length() - 1]:
+            continue  # an unknot marker, a piece of its own with P = 0
         mask = piece
         while mask:
             phi1 = weights(mask, 1)
@@ -314,6 +316,8 @@ def _lambda2_sum(d: LinkDiagram) -> Fraction:
     pieces = d.piece_masks((1 << d.components) - 1)
     total = crossed = Fraction(0)
     for mask in pieces:
+        if not d.component_arcs[mask.bit_length() - 1]:
+            continue  # an unknot marker: every sub-cable of its cable has P = 0
         piece = d if len(pieces) == 1 else sublink(d, d.mask_components(mask))
         a = b = Fraction(0)
         for signs, alpha, beta in memo.lookup(

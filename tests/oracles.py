@@ -25,15 +25,27 @@ sub-cable's weights off its connected pieces instead.
 ``tie_knot(d, comp, k)`` ties the knot k into component ``comp`` of d, a
 connected sum drawn by swapping the head ends of one arc of each.
 
+``_UnionFind`` is the oracles' own: ``split_pieces_union_find``,
+``sublink_union_find``, ``smooth_crossing_union_find`` and
+``kauffman_bracket_naive`` join in it, and the library has no union-find,
+so none of them shares a helper with the code it checks.
+
+``side_by_side(d, k)`` places k copies of d side by side in one pass,
+equal to folding ``disjoint_union`` k times.
+
 ``split_pieces_union_find`` joins the components of each crossing in a
 union-find and returns the pieces as component bitmasks ordered by smallest
 component; the library grows each piece over a bitmask adjacency.
 
 ``sublink_union_find`` restricts a diagram to some components by joining
 the fused arcs in a union-find and re-tracing the successor cycles; the
-library walks each kept strand once instead.  ``contraction_plan_rescored``
-plans the bracket contraction by rescoring every remaining crossing at
-each step; the library keeps a running count of open arcs per crossing.
+library walks each kept strand once and collects the kept crossings on
+the way instead.  ``smooth_crossing_union_find`` makes a smoothing's two
+joins in a union-find; the library names the two joined classes directly.
+
+``contraction_plan_rescored`` plans the bracket contraction by rescoring
+every remaining crossing at each step; the library keeps a running count
+of open arcs per crossing.
 
 ``kauffman_bracket_naive`` sums the bracket over all 2^n states, tracing
 each state's loops in a union-find; the library contracts the whole
@@ -57,7 +69,6 @@ from ftik.diagram import (
     LinkDiagram,
     SurgeryPresentation,
     _cycles,
-    _UnionFind,
     closed_braid,
     disjoint_union,
     parallel,
@@ -68,6 +79,37 @@ from ftik.errors import DiagramError
 from ftik.invariants import jones_sublink_weight
 from ftik.series import IntLaurent
 from ftik.skein import _DELTA, _contraction_plan, conway_a2
+
+
+class _UnionFind:
+    """Union-find over arc ids, joined by size.  An id that was never
+    joined is its own singleton class."""
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.size: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        up = parent.get(root, root)
+        while up != root:
+            root = up
+            up = parent.get(root, root)
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def join(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        size = self.size
+        sx, sy = size.get(rx, 1), size.get(ry, 1)
+        if sx < sy:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        size[rx] = sx + sy
 
 
 def braid_words(max_strands: int, max_size: int):
@@ -125,6 +167,20 @@ def lambda2_every_subcable(sp: SurgeryPresentation) -> Fraction:
         if 2 not in counts:
             total += jones_sublink_weight(sub, 1) * f * Fraction(sub.components, 2)
     return total
+
+
+def side_by_side(d: LinkDiagram, k: int) -> LinkDiagram:
+    """k copies of d side by side, built in one pass: copy j shifts d's
+    arc ids by j times d's largest one, as folding ``disjoint_union`` k
+    times does, without re-copying the growing union at every step."""
+    offset = max((x for cr in d.crossings for x in cr), default=0)
+    shifts = [j * offset for j in range(k)]
+    return LinkDiagram(
+        tuple(tuple(x + s for x in cr) for s in shifts for cr in d.crossings),
+        d.over_in * k,
+        tuple(tuple(a + s for a in arcs) for s in shifts for arcs in d.component_arcs),
+        d.framings * k,
+    )
 
 
 def tie_knot(d: LinkDiagram, comp: int, k: LinkDiagram) -> LinkDiagram:
@@ -267,6 +323,27 @@ def sublink_union_find(d: LinkDiagram, keep) -> LinkDiagram:
         component_arcs[index[comp_of[cycle[0]]]] = cycle
     framings = tuple(d.framings[comp] for comp in kept_comps)
     return LinkDiagram(crossings, over_in, tuple(component_arcs), framings)
+
+
+def smooth_crossing_union_find(d: LinkDiagram, i: int) -> LinkDiagram:
+    """The smoothing of crossing i with its two joins made in a union-find:
+    every arc is renamed to its root, and each class that no remaining
+    crossing reads is a free loop."""
+    a, b, c, e = d.crossings[i]
+    o_in, o_out = (b, e) if d.over_in[i] == 1 else (e, b)
+    uf = _UnionFind()
+    uf.join(a, o_out)
+    uf.join(o_in, c)
+    remaining = [
+        (tuple(uf.find(x) for x in cr), oi)
+        for j, (cr, oi) in enumerate(zip(d.crossings, d.over_in))
+        if j != i
+    ]
+    used = {x for cr, _oi in remaining for x in cr}
+    free_loops = len({uf.find(a), uf.find(o_in)} - used)
+    crossings = tuple(cr for cr, _oi in remaining)
+    over_in = tuple(oi for _cr, oi in remaining)
+    return LinkDiagram.assemble(crossings, over_in, None, d.unknotted_components + free_loops)
 
 
 def kauffman_bracket_naive(d: LinkDiagram) -> IntLaurent:

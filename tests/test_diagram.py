@@ -26,6 +26,7 @@ from ftik.skein import jones
 from oracles import (
     braid_closures,
     braid_words,
+    smooth_crossing_union_find,
     split_pieces_union_find,
     sublink_union_find,
 )
@@ -187,6 +188,29 @@ def test_smooth_crossing_trefoil_gives_hopf():
     assert s.components == 2
     assert len(s.crossings) == 2
     assert abs(s.linking_matrix()[0][1]) == 1
+
+
+def assert_smoothings_match_the_union_find_oracle(d):
+    for i in range(len(d.crossings)):
+        assert smooth_crossing(d, i) == smooth_crossing_union_find(d, i), i
+
+
+def test_smooth_crossing_matches_the_union_find_oracle_on_the_catalog():
+    # Exact equality, arc names included: the Conway tree's node counts
+    # depend on them.
+    for entry in catalog.entries():
+        assert_smoothings_match_the_union_find_oracle(entry.diagram)
+    # No planar code smooths a crossing whose two joins share an arc: that
+    # takes an under-strand (crossing 0) or an over-strand (crossing 1)
+    # that closes on its own crossing without meeting another.
+    assert_smoothings_match_the_union_find_oracle(
+        LinkDiagram.assemble(((1, 2, 1, 3), (2, 4, 3, 4)), (3, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_closures)
+def test_smooth_crossing_matches_the_union_find_oracle_on_closures(d):
+    assert_smoothings_match_the_union_find_oracle(d)
 
 
 def test_sublink():

@@ -41,6 +41,7 @@ from oracles import (
     hoste_casson,
     is_algebraically_split,
     lambda2_every_subcable,
+    side_by_side,
     tie_knot,
 )
 
@@ -661,10 +662,66 @@ def test_surgery_sums_on_split_unknots_are_instant():
     assert (ohtsuki_lambda2(presentation), casson_invariant(presentation)) == (39, 1)
     assert time.perf_counter() - start < 1
 
+    # Both sums skip a marker piece before it reaches a sublink table or a
+    # cut: walking 20,000 of them through the table took over 1 s for Casson.
+    d = with_framings(disjoint_union(trefoil, LinkDiagram.from_pd([], None, 20000)),
+                      (1,) + framings * 500)
+    presentation = SurgeryPresentation(d)
+    for surgery_sum, value in ((ohtsuki_lambda2, 39), (casson_invariant, 1)):
+        start = time.perf_counter()
+        assert surgery_sum(presentation) == value
+        assert time.perf_counter() - start < 1
+
     hopf = with_framings(catalog.get("hopf-positive").diagram, (1, 1))
     with pytest.raises(DiagramError) as exc:
         SurgeryPresentation(hopf)
     assert exc.value.violations == ["components 0 and 1 have linking number 1"]
+
+
+def test_surgery_sums_on_many_split_trefoils_are_linear():
+    # n split right trefoils, all +1, present the connected sum of n
+    # Poincare spheres: lambda2 = sum_k A_k + sum_(j<k) B_j B_k with A = 39
+    # and B = 6, and Casson = n.  Each piece is cut out in one walk over
+    # its own strands; reading every crossing of the union for each piece
+    # took about 4 s per sum at n = 4,000.
+    trefoil = with_framings(catalog.get("trefoil-right").diagram, (1,))
+    assert side_by_side(trefoil, 3) == disjoint_union(disjoint_union(trefoil, trefoil), trefoil)
+    n = 4000
+    p = SurgeryPresentation(side_by_side(trefoil, n))
+    for surgery_sum, value in ((ohtsuki_lambda2, 39 * n + 18 * n * (n - 1)),
+                               (casson_invariant, n)):
+        start = time.perf_counter()
+        assert surgery_sum(p) == value
+        assert time.perf_counter() - start < 1
+
+
+def assert_piece_betas_are_phi1(d):
+    # B = sum_S f^S beta_S must be lambda_1 of the piece, so beta_S is
+    # phi_1 of the sublink on S, and 0 when S is empty or split.  Unions
+    # read B only in products B_j B_k, so they cannot see its sign.
+    betas = {signs: beta for signs, _alpha, beta in invariants._lambda2_piece(d)}
+    # phi_1 is weighed afresh, not read off the cable's sub-cables.
+    memo.clear()
+    for mask in range(1 << d.components):
+        phi1 = 0
+        if len(d.piece_masks(mask)) == 1:
+            phi1 = jones_sublink_weight(sublink(d, d.mask_components(mask)), 1)
+        assert betas.get(mask, 0) == phi1, mask
+
+
+def test_lambda2_piece_betas_are_phi1():
+    pieces = [e.diagram for e in catalog.asl_entries()
+              if len(e.diagram.piece_masks((1 << e.diagram.components) - 1)) == 1]
+    for d in pieces + [chain(4).diagram]:
+        memo.clear()
+        assert_piece_betas_are_phi1(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_asl_closures.filter(
+    lambda d: len(d.piece_masks((1 << d.components) - 1)) == 1))
+def test_lambda2_piece_betas_are_phi1_on_braid_closures(d):
+    assert_piece_betas_are_phi1(d)
 
 
 def test_jones_exp_derivatives_frozen():
