@@ -58,9 +58,10 @@ class LinkDiagram:
         violations = pd_violations(crossings)
         if violations:
             raise DiagramError(violations)
-        over_in = _infer_over_in(crossings)
+        other_end = _other_end(crossings)
+        over_in = _infer_over_in(crossings, other_end)
         d = cls.assemble(crossings, over_in, framings, unknotted_components)
-        violations = d._face_violations()
+        violations = d._face_violations(other_end)
         if violations:
             raise DiagramError(violations)
         return d
@@ -152,16 +153,17 @@ class LinkDiagram:
         for i, s in enumerate(self.over_in):
             if s not in (1, 3):
                 out.append(f"crossing {i}: over-strand entry slot must be 1 or 3")
-        return out or self._face_violations()
+        return out or self._face_violations(_other_end(self.crossings))
 
-    def _face_violations(self) -> list[str]:
+    def _face_violations(self, other_end: dict[_Pair, _Pair]) -> list[str]:
         """Euler's formula: a planar split piece with V crossings has 2V
         edges and bounds exactly V + 2 faces, and a piece of genus g bounds
         2g fewer.  So the diagram is planar exactly when its faces number
-        V + 2p, for V crossings in p pieces with crossings; a PD code with
-        virtual crossings traces fewer.  Faces are the cycles of the dart
-        map (c, s) -> (other end of the arc at slot s of c, slot + 1)."""
-        other_end = _other_end(self.crossings)
+        V + 2p, for V crossings in the p split pieces of ``pieces``; a PD
+        code with virtual crossings traces fewer.  Faces are the cycles of
+        the dart map (c, s) -> (``other_end`` of (c, s), slot + 1), where
+        ``other_end`` is ``_other_end(self.crossings)``, which ``from_pd``
+        has already built for ``_infer_over_in``."""
         seen: set[tuple[int, int]] = set()
         faces = 0
         for dart in other_end:
@@ -172,7 +174,7 @@ class LinkDiagram:
                 seen.add(dart)
                 ci, slot = other_end[dart]
                 dart = (ci, (slot + 1) % 4)
-        pieces = len(self.piece_masks((1 << self.components) - 1)) - self.unknotted_components
+        pieces = len(self.pieces)
         planar = len(self.crossings) + 2 * pieces
         if faces == planar:
             return []
@@ -189,12 +191,25 @@ class LinkDiagram:
                 adjacency[q] |= 1 << p
         return tuple(adjacency)
 
+    @cached_property
+    def pieces(self) -> tuple[int, ...]:
+        """The split pieces that have crossings, as component bitmasks
+        ordered by smallest component: ``piece_masks`` of the components
+        that own arcs, found once per instance.  An unknot marker is a
+        piece of its own with no crossings, so it is left out before the
+        walk and costs nothing."""
+        return tuple(self.piece_masks(
+            sum(1 << c for c, arcs in enumerate(self.component_arcs) if arcs)))
+
     def piece_masks(self, mask: int) -> list[int]:
         """The split pieces of ``sublink(self, comps)``, where bit c of
         ``mask`` keeps component c, as component bitmasks of self ordered
         by smallest component.  A sublink keeps exactly the crossings
         between kept components, so its pieces are the connected parts of
-        the kept components in the crossing adjacency."""
+        the kept components in the crossing adjacency.  Each piece costs a
+        few operations over the whole mask, so a wide mask of many pieces
+        is quadratic in them; ``pieces`` keeps markers out of the widest
+        one."""
         adjacency = self._adjacency
         pieces = []
         while mask:
@@ -391,8 +406,11 @@ def _other_end(crossings: tuple[Crossing, ...]) -> dict[tuple[int, int], tuple[i
     return out
 
 
-def _infer_over_in(crossings: tuple[Crossing, ...]) -> tuple[int, ...]:
-    """Infer, per crossing, which over-slot the over-strand enters.
+def _infer_over_in(
+    crossings: tuple[Crossing, ...], other_end: dict[_Pair, _Pair]
+) -> tuple[int, ...]:
+    """Infer, per crossing, which over-slot the over-strand enters, walking
+    the dart map ``other_end`` of ``_other_end(crossings)``.
 
     Every under-passage enters at slot 0.  A strand is walked forward from
     each slot 0: it leaves a crossing at the slot opposite its entry and
@@ -403,7 +421,6 @@ def _infer_over_in(crossings: tuple[Crossing, ...]) -> tuple[int, ...]:
     walk that enters a crossing at slot 2, or at both over-slots, means the
     code has no consistent orientation and raises ``DiagramError``.
     """
-    other_end = _other_end(crossings)
     over_in = [0] * len(crossings)
     entered: set[tuple[int, int]] = set()
 

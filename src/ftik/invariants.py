@@ -192,17 +192,18 @@ class _Sublinks:
     once per table; the table never restricts a sublink it built.  Calling
     the table gives phi_i by the split rule of the module docstring, so a
     split mask is never built, for its P or for its weights.  The submask
-    walk of d's largest piece is checked against the sublink budget before
-    any work starts; it bounds the surgery sums too, which walk the
-    submasks of one piece at a time.
+    walk of d's largest piece in ``LinkDiagram.pieces`` is checked against
+    the sublink budget before any work starts; it bounds the surgery sums
+    too, which walk the submasks of one such piece at a time.  An unknot
+    marker is no such piece: it and every sub-cable of its cable have
+    P = 0, so it adds nothing to either sum.
     """
 
     def __init__(self, d: LinkDiagram):
-        full = (1 << d.components) - 1
-        largest = max((piece.bit_count() for piece in d.piece_masks(full)), default=0)
+        largest = max((piece.bit_count() for piece in d.pieces), default=0)
         _check_budget(2 ** largest - 1, "alternating sum over {} sublinks of one piece")
         self._d = d
-        self._built = {full: d}
+        self._built = {(1 << d.components) - 1: d}
         self._alts: dict[int, HalfLaurent] = {}
 
     def alt(self, mask: int) -> HalfLaurent:
@@ -267,9 +268,7 @@ def casson_invariant(sp: SurgeryPresentation) -> Fraction:
 def _casson_sum(d: LinkDiagram) -> Fraction:
     weights = _Sublinks(d)
     total = Fraction(0)
-    for piece in d.piece_masks((1 << d.components) - 1):
-        if not d.component_arcs[piece.bit_length() - 1]:
-            continue  # an unknot marker, a piece of its own with P = 0
+    for piece in d.pieces:
         mask = piece
         while mask:
             phi1 = weights(mask, 1)
@@ -313,12 +312,9 @@ def ohtsuki_lambda2(sp: SurgeryPresentation) -> Fraction:
 
 
 def _lambda2_sum(d: LinkDiagram) -> Fraction:
-    pieces = d.piece_masks((1 << d.components) - 1)
     total = crossed = Fraction(0)
-    for mask in pieces:
-        if not d.component_arcs[mask.bit_length() - 1]:
-            continue  # an unknot marker: every sub-cable of its cable has P = 0
-        piece = d if len(pieces) == 1 else sublink(d, d.mask_components(mask))
+    for mask in d.pieces:
+        piece = d if mask.bit_count() == d.components else sublink(d, d.mask_components(mask))
         a = b = Fraction(0)
         for signs, alpha, beta in memo.lookup(
                 "lambda2_piece", piece.canonical_key(), _lambda2_piece, piece):

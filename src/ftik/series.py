@@ -101,11 +101,6 @@ class _Laurent:
                 d[e] = d.get(e, 0) + c1 * c2
         return type(self).from_dict(d)
 
-    def scale(self, k: int):
-        if k == 0:
-            return type(self)(())
-        return type(self)(tuple((e, c * k) for e, c in self.terms))
-
     def shift(self, exponent: int):
         """Multiply by the monomial with the given exponent."""
         return type(self)(tuple((e + exponent, c) for e, c in self.terms))

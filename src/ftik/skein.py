@@ -222,16 +222,17 @@ def jones(d: LinkDiagram) -> HalfLaurent:
 
 
 def _jones(d: LinkDiagram) -> HalfLaurent:
+    # A^e with A^4 = t is t^(e/4), e/2 in halves; shifting and halving keep
+    # the bracket's terms sorted, so they are read once in order.
     w = d.writhe()
-    br = kauffman_bracket(d)
-    normalized = br.shift(-3 * w).scale((-1) ** (w % 2))
-    halves: dict[int, int] = {}
-    for e, coeff in normalized.terms:
+    sign = -1 if (w + d.components - 1) % 2 else 1
+    terms = []
+    for e, coeff in kauffman_bracket(d).terms:
+        e -= 3 * w
         if e % 2 != 0:
             raise AssertionError("normalized bracket has odd A-exponent")
-        halves[e // 2] = coeff
-    value = HalfLaurent.from_dict(halves)
-    return -value if (d.components - 1) % 2 == 1 else value
+        terms.append((e // 2, sign * coeff))
+    return HalfLaurent(tuple(terms))
 
 
 def jones_series(d: LinkDiagram, order: int) -> TruncSeries:

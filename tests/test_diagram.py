@@ -351,6 +351,12 @@ def test_split_pieces_match_union_find_oracle(closures, data):
     keep = data.draw(st.sets(st.integers(0, d.components - 1)))
     sub = sublink(d, keep)
     assert all_pieces(sub) == split_pieces_union_find(sub)
+    # A sublink can put markers between other components, which checks
+    # that ``pieces`` keeps the order of the pieces it leaves in.
+    for variant in (d, sub):
+        markers = {1 << c for c, arcs in enumerate(variant.component_arcs) if not arcs}
+        assert list(variant.pieces) == [
+            piece for piece in split_pieces_union_find(variant) if piece not in markers]
     # The pieces of a sublink are the pieces of its mask, renumbered.
     kept = sorted(keep)
     assert d.piece_masks(sum(1 << c for c in kept)) == [

@@ -480,6 +480,34 @@ def test_lambda2_matches_every_subcable_oracle_on_unions(closures, data):
     assert fast == lambda2_every_subcable(p)
 
 
+def assert_orientation_reversal(p):
+    # Ohtsuki's series obeys tau(-M)(q) = tau(M)(1/q), and
+    # 1/q - 1 = -(q - 1) + (q - 1)^2 - ..., so its first two coefficients
+    # give lambda1(-M) = -lambda1(M) and lambda2(-M) = lambda2(M) + lambda1(M).
+    # -M is surgery on the mirror image with the framings negated.
+    lambda1 = ohtsuki_lambda1(p)
+    assert ohtsuki_lambda1(p.mirror()) == -lambda1
+    assert ohtsuki_lambda2(p.mirror()) == ohtsuki_lambda2(p) + lambda1
+
+
+def test_orientation_reversal_on_the_catalog():
+    for entry in catalog.asl_entries():
+        assert_orientation_reversal(SurgeryPresentation(entry.diagram))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(braid_closures.filter(is_algebraically_split), min_size=1, max_size=2),
+       st.data())
+def test_orientation_reversal_on_braid_closures(closures, data):
+    # 2- to 4-strand closures of at most 12 letters, and split unions of two.
+    d = closures[0]
+    for other in closures[1:]:
+        d = disjoint_union(d, other)
+    framings = data.draw(st.lists(st.sampled_from((1, -1)),
+                                  min_size=d.components, max_size=d.components))
+    assert_orientation_reversal(SurgeryPresentation(with_framings(d, framings)))
+
+
 def components_of(mask):
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
@@ -667,6 +695,20 @@ def test_surgery_sums_on_split_unknots_are_instant():
     d = with_framings(disjoint_union(trefoil, LinkDiagram.from_pd([], None, 20000)),
                       (1,) + framings * 500)
     presentation = SurgeryPresentation(d)
+    for surgery_sum, value in ((ohtsuki_lambda2, 39), (casson_invariant, 1)):
+        start = time.perf_counter()
+        assert surgery_sum(presentation) == value
+        assert time.perf_counter() - start < 1
+
+    # Markers never enter the piece walk: the face count and both sums read
+    # only the pieces with crossings.  Growing every marker piece over the
+    # whole mask took about 2 s each for the parse, lambda2 and Casson.
+    start = time.perf_counter()
+    d = LinkDiagram.from_pd(trefoil.crossings, (1,) + framings * 2000, 80000)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    presentation = SurgeryPresentation(d)
+    assert time.perf_counter() - start < 1
     for surgery_sum, value in ((ohtsuki_lambda2, 39), (casson_invariant, 1)):
         start = time.perf_counter()
         assert surgery_sum(presentation) == value
