@@ -208,8 +208,13 @@ class LinkDiagram:
         between kept components, so its pieces are the connected parts of
         the kept components in the crossing adjacency.  Each piece costs a
         few operations over the whole mask, so a wide mask of many pieces
-        is quadratic in them; ``pieces`` keeps markers out of the widest
-        one."""
+        is quadratic in them.  No caller passes a marker beside other
+        components: ``pieces`` leaves markers out, and
+        ``sublink_alternating_series`` and ``skein._conway`` give 0 on
+        such a diagram first.  Wide masks of many pieces with crossings
+        still come from ``pieces``, once per diagram, from
+        ``sublink_alternating_series`` on a split diagram and from
+        ``skein._conway`` on a split resolution node."""
         adjacency = self._adjacency
         pieces = []
         while mask:

@@ -143,13 +143,23 @@ def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
 def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
     s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``.
-    The inverse power of s is memoized per (#L, order)."""
+    The inverse power of s is memoized per (#L, order).
+
+    A diagram with an unknot marker gives 0 before any table or walk: the
+    marker is a split piece with P = V(O) - 1 = 0.  Otherwise P is read
+    from the ``alt`` memo by d's canonical key, where ``_Sublinks`` has
+    stored it if d is a connected sublink whose phi it asks for; only a
+    miss builds a table of d, whose full mask may be wide, of many split
+    pieces."""
     n = d.components
     if n == 0:
         return TruncSeries.one(order)
+    if d.unknotted_components:
+        return TruncSeries.zero(order)
     inverse = memo.lookup("inverse", (n, order),
                           lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
-    return laurent_to_series(_Sublinks(d).alt((1 << n) - 1), order) * inverse
+    p = memo.lookup("alt", d.canonical_key(), lambda: _Sublinks(d).alt((1 << n) - 1))
+    return laurent_to_series(p, order) * inverse
 
 
 def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
@@ -191,9 +201,14 @@ class _Sublinks:
     built, as ``sublink(d, comps)`` or d itself for the full mask, at most
     once per table; the table never restricts a sublink it built.  Calling
     the table gives phi_i by the split rule of the module docstring, so a
-    split mask is never built, for its P or for its weights.  The submask
-    walk of d's largest piece in ``LinkDiagram.pieces`` is checked against
-    the sublink budget before any work starts; it bounds the surgery sums
+    split mask is never built, for its P or for its weights; a connected
+    mask's P is memoized before its phi is asked for, so a phi miss reads
+    it back and builds no second table.  So Casson builds one table, of
+    L, and lambda2 one per distinct piece, of its cable.  The masks they
+    walk lie within one piece; only ``sublink_alternating_series`` hands
+    the table a full mask of several pieces.  The submask walk of d's
+    largest piece in ``LinkDiagram.pieces`` is checked against the
+    sublink budget before any work starts; it bounds the surgery sums
     too, which walk the submasks of one such piece at a time.  An unknot
     marker is no such piece: it and every sub-cable of its cable have
     P = 0, so it adds nothing to either sum.

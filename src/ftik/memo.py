@@ -14,7 +14,8 @@ its crossings, split pieces included, without the unknot-marker factors),
 ``jones`` (the surgery sums store connected sublinks only, since the
 alternating sum reads V of a connected sublink alone; the ``jones`` row
 stores whatever diagram it is given),
-``alt`` (the integral alternating sublink sum, per connected sublink),
+``alt`` (the integral alternating sublink sum, per connected sublink,
+and per diagram whose whole sum was asked for directly),
 ``inverse`` (the series 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed
 by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and
 ``psi2`` alike), ``phi`` (sublink weights: the surgery sums store

@@ -271,10 +271,12 @@ def conway(d: LinkDiagram, node_budget: int = 10**6) -> IntLaurent:
     nabla(L+) - nabla(L-) = z nabla(L0).
 
     Base cases: a descending knot diagram gives 1, and any diagram without
-    exactly one split piece (split or empty) gives 0.  A tree with more
-    than ``node_budget`` nodes, or deeper than Python's recursion limit,
-    raises ``ResourceLimitError``.  The polynomial is memoized per
-    diagram, so a memo hit returns without walking, whatever the budget.
+    exactly one split piece (split or empty) gives 0, one with an unknot
+    marker beside another component before its pieces are grown.  A tree
+    with more than ``node_budget`` nodes, or deeper than Python's
+    recursion limit, raises ``ResourceLimitError``.  The polynomial is
+    memoized per diagram, so a memo hit returns without walking, whatever
+    the budget.
     """
     return memo.lookup("conway", d.canonical_key(), _conway, d, node_budget)
 
@@ -289,7 +291,8 @@ def _conway(d: LinkDiagram, node_budget: int) -> IntLaurent:
             raise ResourceLimitError(
                 f"conway resolution exceeded {node_budget} nodes"
             )
-        if len(d.piece_masks((1 << d.components) - 1)) != 1:
+        if (d.components > 1 and d.unknotted_components
+                or len(d.piece_masks((1 << d.components) - 1)) != 1):
             return IntLaurent.zero()
         bad = _first_bad_crossing(d)
         if bad is None:

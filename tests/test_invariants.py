@@ -720,6 +720,67 @@ def test_surgery_sums_on_split_unknots_are_instant():
     assert exc.value.violations == ["components 0 and 1 have linking number 1"]
 
 
+def test_sums_over_unknot_markers_are_zero_and_instant():
+    # A marker has P = V(O) - 1 = 0 and makes its diagram split, so every
+    # alternating sum, phi weight and Conway polynomial of a diagram with a
+    # marker beside another component is 0.  Expanding 1/s^N and growing
+    # every marker's piece over the whole mask took over 15 s for phi_1
+    # at N = 80,000, and 1.5 s for the Conway polynomial.
+    trefoil = catalog.get("trefoil-right").diagram
+    d = LinkDiagram.from_pd(trefoil.crossings, None, 80000)
+    for is_zero in (lambda: jones_sublink_weight(d, 1) == 0,
+                    lambda: jones_sublink_weight(d, 2) == 0,
+                    lambda: sublink_alternating_series(d, 8).is_zero(),
+                    lambda: skein.conway(d).is_zero(), lambda: conway_a2(d) == 0):
+        memo.clear()
+        start = time.perf_counter()
+        assert is_zero()
+        assert time.perf_counter() - start < 1
+
+
+def count_tables(monkeypatch):
+    """A list that grows by one entry per ``_Sublinks`` built."""
+    tables, init = [], invariants._Sublinks.__init__
+    monkeypatch.setattr(invariants._Sublinks, "__init__",
+                        lambda self, d: tables.append(d) or init(self, d))
+    return tables
+
+
+@pytest.mark.parametrize("name", [
+    "whitehead-plus1", "borromean-plus1", "trefoils-two-plus1", "chain 4"])
+def test_surgery_sums_build_one_sublink_table(monkeypatch, name):
+    # A phi miss reads P from the alt memo, where the table that asks for
+    # phi has just stored it, so it builds no table of its own.  Nested
+    # tables made 15, 35, 5 and 83 for lambda2 and 4, 5, 2 and 7 for
+    # Casson.  lambda2 builds one table per distinct piece's cable:
+    # trefoils-two's two pieces are one trefoil.
+    p = chain(4) if name == "chain 4" else sp(name)
+    d = p.diagram
+    pieces = {sublink(d, d.mask_components(piece)).canonical_key() for piece in d.pieces}
+    tables = count_tables(monkeypatch)
+    memo.clear()
+    ohtsuki_lambda2(p)
+    assert len(tables) == len(pieces)
+    tables.clear()
+    memo.clear()
+    casson_invariant(p)
+    assert len(tables) == 1
+
+
+def test_phi_of_a_memoized_alternating_sum_builds_no_table(monkeypatch):
+    # P of chain 4's connected sublink on components 0-2 is memoized by
+    # chain 4's table; phi of that sublink reads it without a table.
+    d = chain(4).diagram
+    invariants._Sublinks(d).alt(0b0111)
+    tables = count_tables(monkeypatch)
+    three = sublink(d, [0, 1, 2])
+    weights = [jones_sublink_weight(three, i) for i in (1, 2)]
+    assert not tables
+    monkeypatch.undo()
+    memo.clear()
+    assert weights == [jones_sublink_weight(three, i) for i in (1, 2)]
+
+
 def test_surgery_sums_on_many_split_trefoils_are_linear():
     # n split right trefoils, all +1, present the connected sum of n
     # Poincare spheres: lambda2 = sum_k A_k + sum_(j<k) B_j B_k with A = 39
