@@ -80,7 +80,11 @@ pieces); if it meets three or more, phi_2(S) = 0.  Hence
     lambda2(S^3_L) = sum_k A_k + sum_{j<k} B_j B_k,
 
 where A_k is the lambda2 sum over the sub-cables of L_k's cable and
-B_k = sum f phi_1 / 2^(s2) over the same sub-cables.  The walk costs
+B_k = sum f phi_1 / 2^(s2) over the same sub-cables.  phi_1 vanishes on
+every sub-cable that takes both copies of a component (the tests check
+this on every such sub-cable they reach; it is not derived here), so
+B_k = sum f phi_1 over the copy-0 sub-cables, which is lambda_1 of L_k,
+and the walk reads phi_1 only there.  The walk costs
 sum_k 3^#L_k, not 3^#L, and each piece's walk stays within the
 2^(cable piece) - 1 submasks that the sublink table checks against the
 budget.
@@ -150,7 +154,8 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     from the ``alt`` memo by d's canonical key, where ``_Sublinks`` has
     stored it if d is a connected sublink whose phi it asks for; only a
     miss builds a table of d, whose full mask may be wide, of many split
-    pieces."""
+    pieces: when the sum is asked for directly, or for phi of a split
+    link that is not algebraically split."""
     n = d.components
     if n == 0:
         return TruncSeries.one(order)
@@ -164,14 +169,19 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
 
 def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     """The scaled derivative phi_i = (-2)^#L / (#L + i)! * Phi_(#L + i),
-    where Phi_k is the k-th t-derivative of the alternating sum at t = 1."""
-    return memo.lookup("phi", (d.canonical_key(), i), _sublink_weight, d, i)
+    where Phi_k is the k-th t-derivative of the alternating sum at t = 1.
 
-
-def _sublink_weight(d: LinkDiagram, i: int) -> Fraction:
-    """One coefficient of the alternating sum; on the empty link, whose sum
-    is the constant 1, it gives 1 for i = 0 and 0 otherwise."""
+    It is one coefficient of the alternating sum, whose P the ``alt`` memo
+    holds, so phi keeps no memo of its own; on the empty link, whose sum
+    is the constant 1, it gives 1 for i = 0 and 0 otherwise.  An
+    algebraically split link of several pieces with crossings and no
+    unknot marker takes phi_1 and phi_2 (and phi_0 = 0) by the split rule
+    of the module docstring instead, from its pieces' phi_1, with no
+    series of its own: the series route is about cubic in the number of
+    pieces."""
     n = d.components
+    if i <= 2 and len(d.pieces) > 1 and not d.unknotted_components and not d._linking_numbers():
+        return _Sublinks(d)((1 << n) - 1, i)
     return (-2) ** n * sublink_alternating_series(d, n + i).coeff(n + i)
 
 
@@ -202,16 +212,18 @@ class _Sublinks:
     once per table; the table never restricts a sublink it built.  Calling
     the table gives phi_i by the split rule of the module docstring, so a
     split mask is never built, for its P or for its weights; a connected
-    mask's P is memoized before its phi is asked for, so a phi miss reads
-    it back and builds no second table.  So Casson builds one table, of
-    L, and lambda2 one per distinct piece, of its cable.  The masks they
-    walk lie within one piece; only ``sublink_alternating_series`` hands
-    the table a full mask of several pieces.  The submask walk of d's
-    largest piece in ``LinkDiagram.pieces`` is checked against the
-    sublink budget before any work starts; it bounds the surgery sums
-    too, which walk the submasks of one such piece at a time.  An unknot
-    marker is no such piece: it and every sub-cable of its cable have
-    P = 0, so it adds nothing to either sum.
+    mask's P goes into the ``alt`` memo before its phi is asked for, and
+    phi is one coefficient of that P, so it builds no second table.  So
+    Casson builds one table, of L, and lambda2 one per distinct piece, of
+    its cable.  The masks they walk lie within one piece; only
+    ``sublink_alternating_series`` and the split rule of
+    ``jones_sublink_weight`` hand the table a full mask of several
+    pieces.  The submask walk of d's largest piece in
+    ``LinkDiagram.pieces`` is checked against the sublink budget before
+    any work starts; it bounds the surgery sums too, which walk the
+    submasks of one such piece at a time.  An unknot marker is no such
+    piece: it and every sub-cable of its cable have P = 0, so it adds
+    nothing to either sum.
     """
 
     def __init__(self, d: LinkDiagram):
@@ -259,8 +271,8 @@ class _Sublinks:
     def __call__(self, mask: int, i: int) -> Fraction:
         pieces = self._d.piece_masks(mask)
         if len(pieces) == 1:
-            # P comes from this table first, so a phi miss finds it memoized;
-            # it also builds the sublink.
+            # P goes into the alt memo first, and phi is one coefficient of
+            # it, so phi builds no table; this also builds the sublink.
             self.alt(mask)
             return jones_sublink_weight(self._built[mask], i)
         if i == 2 and len(pieces) == 2:
@@ -274,8 +286,9 @@ def casson_invariant(sp: SurgeryPresentation) -> Fraction:
     A sublink that meets two split pieces of L is split, so it has
     phi_1 = 0 (the split rule of the module docstring): the sum walks the
     submasks of one piece at a time and weighs only the connected ones.
-    These sublinks are lambda2's copy-0 sub-cables, so the phi table is the
-    one lambda2 fills: either sum leaves the other only the framings.
+    These sublinks are lambda2's copy-0 sub-cables, so their P is in the
+    ``alt`` memo that lambda2 fills: either sum leaves the other one
+    series coefficient per sublink and the framings.
     """
     return memo.lookup("casson", sp.canonical_key(), _casson_sum, sp.diagram)
 
@@ -352,13 +365,15 @@ def _lambda2_piece(d: LinkDiagram) -> tuple[tuple[int, Fraction, Fraction], ...]
     for counts in product((0, 1, 2), repeat=d.components):
         # Copies 2 c and 2 c + 1 of the cable run beside component c.
         mask = sum(((1 << k) - 1) << 2 * c for c, k in enumerate(counts))
-        phi1, phi2 = weights(mask, 1), weights(mask, 2)
+        # Only the first sum, over the tuples without a 2 (the copy-0
+        # sub-cables), reads phi_1, so beta_S is phi_1 of the sublink on S.
+        phi1 = Fraction(0) if 2 in counts else weights(mask, 1)
+        phi2 = weights(mask, 2)
         # Most weights vanish; Fraction arithmetic on them would dominate the loop.
         if phi1 != 0 or phi2 != 0:
-            w = Fraction(1, 2 ** counts.count(2))
             entry = sums.setdefault(sum(1 << c for c, k in enumerate(counts) if k == 1), [0, 0])
-            entry[0] += phi2 * w + (phi1 * w * mask.bit_count() / 2 if 2 not in counts else 0)
-            entry[1] += phi1 * w
+            entry[0] += phi2 / 2 ** counts.count(2) + phi1 * mask.bit_count() / 2
+            entry[1] += phi1
     return tuple((signs, alpha, beta) for signs, (alpha, beta) in sums.items() if alpha or beta)
 
 

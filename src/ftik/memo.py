@@ -1,10 +1,9 @@
 """The memo layer: every per-diagram value that ftik caches lives here.
 
 Each diagram table is keyed by ``LinkDiagram.canonical_key`` (the framed
-key for the surgery sums), extended by the derivative index where the
-value depends on it.  Equal keys mean equal diagrams up to arc names, so a
-hit returns exactly what a fresh computation would and every memoized
-function stays observably pure.  The key is invariant only under
+key for the surgery sums).  Equal keys mean equal diagrams up to arc
+names, so a hit returns exactly what a fresh computation would and every
+memoized function stays observably pure.  The key is invariant only under
 renamings that keep the order of arc ids, so the hit rate, not the
 values, depends on how a diagram's arcs are named.  Only returned values
 are stored: a computation that raises leaves no entry behind.
@@ -18,12 +17,11 @@ stores whatever diagram it is given),
 and per diagram whose whole sum was asked for directly),
 ``inverse`` (the series 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed
 by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and
-``psi2`` alike), ``phi`` (sublink weights: the surgery sums store
-connected sublinks only, since they read a split one's weights off its
-pieces; the ``phi1`` and ``phi2`` rows store whatever diagram they are
-given), ``casson`` and ``lambda2`` (framed keys), and ``lambda2_piece``
-(one split piece's lambda2 sums with the framings taken out, as
-(sign mask, alpha, beta) triples, keyed by the piece's framing-free key).
+``psi2`` alike), ``casson`` and ``lambda2`` (framed keys), and
+``lambda2_piece`` (one split piece's lambda2 sums with the framings taken
+out, as (sign mask, alpha, beta) triples, keyed by the piece's
+framing-free key).  These are the eight tables.  A sublink weight phi_i
+has none: it is one coefficient of P, read from ``alt`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ T = TypeVar("T")
 
 _TABLES: dict[str, dict] = {
     name: {} for name in (
-        "bracket", "jones", "alt", "inverse", "conway", "phi", "casson", "lambda2",
-        "lambda2_piece")
+        "bracket", "jones", "alt", "inverse", "conway", "casson", "lambda2", "lambda2_piece")
 }
 
 

@@ -234,6 +234,9 @@ def weight_by_naive_sum(d, i):
 def test_sublink_weight_is_one_coefficient_of_the_naive_sum():
     empty = sublink(catalog.get("unknot").diagram, ())
     diagrams = [empty] + [entry.diagram for entry in catalog.entries()]
+    # Split but not algebraically split, so the split rule does not apply.
+    diagrams.append(disjoint_union(catalog.get("hopf-positive").diagram,
+                                   catalog.get("trefoil-right").diagram))
     for name in ("whitehead", "borromean"):
         cable = parallel(catalog.get(name).diagram, 2)
         diagrams += [sublink(cable, keep) for r in range(cable.components + 1)
@@ -798,11 +801,39 @@ def test_surgery_sums_on_many_split_trefoils_are_linear():
         assert time.perf_counter() - start < 1
 
 
+def test_weights_of_many_split_trefoils_are_instant():
+    # n split right trefoils form an algebraically split link of n pieces,
+    # so phi_1 = 0, and phi_2 = phi_1(T)^2 = 36 for n = 2 and 0 for n >= 3
+    # (the split rule).  Expanding the order-(n + 1) series took 24.7 s
+    # for phi_1 at n = 1,000.  The rule says nothing of phi_3, which
+    # still reads the series.
+    trefoil = catalog.get("trefoil-right").diagram
+    d = side_by_side(trefoil, 1000)
+    for i in (1, 2):
+        memo.clear()
+        start = time.perf_counter()
+        assert jones_sublink_weight(d, i) == 0
+        assert time.perf_counter() - start < 1
+    two = side_by_side(trefoil, 2)
+    memo.clear()
+    assert jones_sublink_weight(two, 2) == 36
+    assert 4 * sublink_alternating_series(two, 4).coeff(4) == 36
+    assert jones_sublink_weight(two, 3) == 4 * sublink_alternating_series(two, 5).coeff(5) != 0
+
+
 def assert_piece_betas_are_phi1(d):
     # B = sum_S f^S beta_S must be lambda_1 of the piece, so beta_S is
     # phi_1 of the sublink on S, and 0 when S is empty or split.  Unions
     # read B only in products B_j B_k, so they cannot see its sign.
     betas = {signs: beta for signs, _alpha, beta in invariants._lambda2_piece(d)}
+    # The piece reads phi_1 only on the sub-cables without a doubled
+    # component, so phi_1 must vanish on all the others.  Their P is in the
+    # memo of the piece's own cable table.
+    cable = parallel(d, 2)
+    for counts in product((0, 1, 2), repeat=d.components):
+        if 2 in counts:
+            keep = [2 * c + j for c, k in enumerate(counts) for j in range(k)]
+            assert jones_sublink_weight(sublink(cable, keep), 1) == 0, counts
     # phi_1 is weighed afresh, not read off the cable's sub-cables.
     memo.clear()
     for mask in range(1 << d.components):
@@ -825,6 +856,33 @@ def test_lambda2_piece_betas_are_phi1():
     lambda d: len(d.piece_masks((1 << d.components) - 1)) == 1))
 def test_lambda2_piece_betas_are_phi1_on_braid_closures(d):
     assert_piece_betas_are_phi1(d)
+
+
+@pytest.mark.parametrize("name", ["whitehead-plus1", "borromean-plus1", "chain 4"])
+def test_lambda2_reads_phi1_only_on_copy0_subcables(monkeypatch, name):
+    # Only the first sum weighs phi_1, on the sub-cables that take copy 0
+    # of each kept component, so lambda2 asks its cable's table for no
+    # phi_1 of a sub-cable that takes both copies of a component.  The
+    # split rule's own reads of a split sub-cable's pieces are nested in
+    # the table's call, not lambda2's, and are left out.
+    p = chain(4) if name == "chain 4" else sp(name)
+    reads, depth, call = [], [0], invariants._Sublinks.__call__
+
+    def spy(self, mask, i):
+        if not depth[0]:
+            reads.append((mask, i))
+        depth[0] += 1
+        try:
+            return call(self, mask, i)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(invariants._Sublinks, "__call__", spy)
+    memo.clear()
+    ohtsuki_lambda2(p)
+    doubled = {mask for mask, _i in reads
+               if any(mask >> 2 * c & 3 == 3 for c in range(p.diagram.components))}
+    assert doubled and {i for mask, i in reads if mask in doubled} == {2}
 
 
 def test_jones_exp_derivatives_frozen():

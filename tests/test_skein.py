@@ -325,9 +325,11 @@ def test_conway_a2_values():
 
 
 def test_casson_reads_the_lambda2_phi_table(monkeypatch):
-    # Casson sums phi_1 / 6 over the sublinks whose phi_1 lambda2's first
-    # sum has already memoized, so after lambda2 on whitehead-plus1 the
-    # Casson sum contracts no bracket and walks no Conway tree.
+    # Casson sums phi_1 / 6 over the sublinks of L, which are lambda2's
+    # copy-0 sub-cables: lambda2's cable table has already put their P in
+    # the alt memo, and phi_1 is one coefficient of it, so after lambda2 on
+    # whitehead-plus1 the Casson sum contracts no bracket and walks no
+    # Conway tree.
     from ftik.invariants import casson_invariant, ohtsuki_lambda2
 
     sp = catalog.presentation("whitehead-plus1")
