@@ -212,9 +212,9 @@ class LinkDiagram:
         components: ``pieces`` leaves markers out, and
         ``sublink_alternating_series`` and ``skein._conway`` give 0 on
         such a diagram first.  Wide masks of many pieces with crossings
-        come from ``pieces``, from ``jones_sublink_weight``'s split rule,
-        from ``sublink_alternating_series`` on a split diagram and from
-        ``skein._conway`` on a split resolution node."""
+        come from ``pieces``, from the sublink table of a split diagram
+        (for ``jones_sublink_weight`` or ``sublink_alternating_series``)
+        and from ``skein._conway`` on a split resolution node."""
         adjacency = self._adjacency
         pieces = []
         while mask:

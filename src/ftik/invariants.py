@@ -147,23 +147,28 @@ def sublink_alternating_series_naive(d: LinkDiagram, order: int) -> TruncSeries:
 def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
     s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``.
-    The inverse power of s is memoized per (#L, order).
 
     A diagram with an unknot marker gives 0 before any table or walk: the
     marker is a split piece with P = V(O) - 1 = 0.  Otherwise P is read
-    from the ``alt`` memo by d's canonical key, where ``_Sublinks`` has
-    stored it if d is a connected sublink whose phi it asks for; only a
-    miss builds a table of d, whose full mask may be wide, of many split
-    pieces: when the sum is asked for directly, or for phi of a split
-    link that is not algebraically split."""
+    from the ``alt`` memo by d's canonical key, where a table that built d
+    as a connected sublink has stored it; only a miss builds a table of d,
+    whose full mask may be wide, of many split pieces.  No table calls
+    this function: a table reads its own P."""
     n = d.components
     if n == 0:
         return TruncSeries.one(order)
     if d.unknotted_components:
         return TruncSeries.zero(order)
+    p = memo.lookup("alt", d.canonical_key(), lambda: _Sublinks(d).alt((1 << n) - 1))
+    return _divide_by_s_power(p, n, order)
+
+
+def _divide_by_s_power(p: HalfLaurent, n: int, order: int) -> TruncSeries:
+    """P / s^(n - 1) about t = 1, to ``order``, for the P of an
+    n-component link: its alternating sum.  The inverse power of s is
+    memoized per (n, order)."""
     inverse = memo.lookup("inverse", (n, order),
                           lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
-    p = memo.lookup("alt", d.canonical_key(), lambda: _Sublinks(d).alt((1 << n) - 1))
     return laurent_to_series(p, order) * inverse
 
 
@@ -173,14 +178,14 @@ def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
 
     It is one coefficient of the alternating sum, whose P the ``alt`` memo
     holds, so phi keeps no memo of its own; on the empty link, whose sum
-    is the constant 1, it gives 1 for i = 0 and 0 otherwise.  An
-    algebraically split link of several pieces with crossings and no
-    unknot marker takes phi_1 and phi_2 (and phi_0 = 0) by the split rule
-    of the module docstring instead, from its pieces' phi_1, with no
-    series of its own: the series route is about cubic in the number of
-    pieces."""
+    is the constant 1, it gives 1 for i = 0 and 0 otherwise.  A link of
+    several pieces with crossings and no unknot marker is weighed by a
+    table of d, which takes the split rule of the module docstring where
+    it holds (an algebraically split d and i <= 2: no series at all, since
+    the series route is about cubic in the number of pieces) and reads
+    every other weight off the product of its pieces' P."""
     n = d.components
-    if i <= 2 and len(d.pieces) > 1 and not d.unknotted_components and not d._linking_numbers():
+    if len(d.pieces) > 1 and not d.unknotted_components:
         return _Sublinks(d)((1 << n) - 1, i)
     return (-2) ** n * sublink_alternating_series(d, n + i).coeff(n + i)
 
@@ -209,14 +214,17 @@ class _Sublinks:
     whose miss reads V of that mask alone and P of its proper submasks
     (the Moebius rule of the module docstring).  Only a connected mask is
     built, as ``sublink(d, comps)`` or d itself for the full mask, at most
-    once per table; the table never restricts a sublink it built.  Calling
-    the table gives phi_i by the split rule of the module docstring, so a
-    split mask is never built, for its P or for its weights; a connected
-    mask's P goes into the ``alt`` memo before its phi is asked for, and
-    phi is one coefficient of that P, so it builds no second table.  So
-    Casson builds one table, of L, and lambda2 one per distinct piece, of
-    its cable.  The masks they walk lie within one piece; only
-    ``sublink_alternating_series`` and the split rule of
+    once per table, when ``alt`` first meets it; the table never restricts
+    a sublink it built.
+
+    Calling the table gives phi_i of a mask.  When d has no nonzero
+    linking number and i <= 2, a split mask takes the split rule of the
+    module docstring, from its pieces' phi_1, so it is never built; every
+    other nonempty mask reads one coefficient of its own P from ``alt``.  So
+    the table calls no public function for a weight and builds no table
+    of its own, and Casson builds one table, of L, and lambda2 one per
+    distinct piece, of its cable.  The masks they walk lie within one
+    piece; only ``sublink_alternating_series`` and
     ``jones_sublink_weight`` hand the table a full mask of several
     pieces.  The submask walk of d's largest piece in
     ``LinkDiagram.pieces`` is checked against the sublink budget before
@@ -230,12 +238,12 @@ class _Sublinks:
         largest = max((piece.bit_count() for piece in d.pieces), default=0)
         _check_budget(2 ** largest - 1, "alternating sum over {} sublinks of one piece")
         self._d = d
-        self._built = {(1 << d.components) - 1: d}
+        self._split_rule = not d._linking_numbers()
         self._alts: dict[int, HalfLaurent] = {}
 
     def alt(self, mask: int) -> HalfLaurent:
         """P(L) = sum over sublinks L' of (-s)^(#L - #L') V(L'), where the
-        empty sublink has V = 1/s, for the sublink L on ``mask``.
+        empty sublink has V = 1/s, for the nonempty sublink L on ``mask``.
 
         P is s^(#L - 1) times the alternating sum of X, so it has integer
         coefficients and no truncation order.  V(L1 u L2) = s V(L1) V(L2)
@@ -246,19 +254,19 @@ class _Sublinks:
         if p is None:
             pieces = self._d.piece_masks(mask)
             if len(pieces) == 1:
-                if mask not in self._built:
-                    self._built[mask] = sublink(self._d, self._d.mask_components(mask))
-                p = memo.lookup("alt", self._built[mask].canonical_key(), self._alt_piece, mask)
+                comps = self._d.mask_components(mask)
+                piece = self._d if len(comps) == self._d.components else sublink(self._d, comps)
+                p = memo.lookup("alt", piece.canonical_key(), self._alt_piece, comps, piece)
             else:
                 p = math.prod(map(self.alt, pieces), start=HALF_SUM ** (len(pieces) - 1))
             self._alts[mask] = p
         return p
 
-    def _alt_piece(self, mask: int) -> HalfLaurent:
+    def _alt_piece(self, comps: list[int], piece: LinkDiagram) -> HalfLaurent:
         # Horner's rule in sublink size: P = V - T_(n-1), where T_0 = 1 and
         # T_k = s (T_(k-1) + the sum of P over the k-component sublinks).
         # Most submasks of an ASL cable hold a piece with P = 0.
-        bits = [1 << c for c in self._d.mask_components(mask)]
+        bits = [1 << c for c in comps]
         total = HalfLaurent.one()
         for size in range(1, len(bits)):
             for keep in combinations(bits, size):
@@ -266,18 +274,18 @@ class _Sublinks:
                 if not p.is_zero():
                     total = total + p
             total = HALF_SUM * total
-        return jones(self._built[mask]) - total
+        return jones(piece) - total
 
     def __call__(self, mask: int, i: int) -> Fraction:
         pieces = self._d.piece_masks(mask)
-        if len(pieces) == 1:
-            # P goes into the alt memo first, and phi is one coefficient of
-            # it, so phi builds no table; this also builds the sublink.
-            self.alt(mask)
-            return jones_sublink_weight(self._built[mask], i)
-        if i == 2 and len(pieces) == 2:
-            return self(pieces[0], 1) * self(pieces[1], 1)
-        return Fraction(0)
+        # The empty mask's alternating sum is 1.  A split mask takes the
+        # split rule, which holds on an algebraically split d and i <= 2.
+        if not pieces or len(pieces) > 1 and i <= 2 and self._split_rule:
+            if len(pieces) == 2 and i == 2:
+                return self(pieces[0], 1) * self(pieces[1], 1)
+            return Fraction(not pieces and i == 0)
+        n = mask.bit_count()
+        return (-2) ** n * _divide_by_s_power(self.alt(mask), n, n + i).coeff(n + i)
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:

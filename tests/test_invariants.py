@@ -242,11 +242,16 @@ def test_sublink_weight_is_one_coefficient_of_the_naive_sum():
         diagrams += [sublink(cable, keep) for r in range(cable.components + 1)
                      for keep in combinations(range(cable.components), r)]
     for d in diagrams:
-        orders = (0, 1, 2) if d is empty else (1, 2)
+        orders = (0, 1, 2, 3) if d is empty else (1, 2, 3)
         weights = [jones_sublink_weight(d, i) for i in orders]
+        # A fresh table weighs the full mask the same way, split or not,
+        # whether or not the split rule holds.
+        tables = [invariants._Sublinks(d)((1 << d.components) - 1, i) for i in orders]
         # The oracle computes its own X values instead of reading the memo.
         memo.clear()
-        assert weights == [weight_by_naive_sum(d, i) for i in orders], d
+        expected = [weight_by_naive_sum(d, i) for i in orders]
+        assert weights == expected, d
+        assert tables == expected, d
 
 
 def test_memo_clear_empties_the_inverse_table():
@@ -752,14 +757,20 @@ def count_tables(monkeypatch):
 @pytest.mark.parametrize("name", [
     "whitehead-plus1", "borromean-plus1", "trefoils-two-plus1", "chain 4"])
 def test_surgery_sums_build_one_sublink_table(monkeypatch, name):
-    # A phi miss reads P from the alt memo, where the table that asks for
-    # phi has just stored it, so it builds no table of its own.  Nested
+    # A table reads each weight off its own P, so it never calls the public
+    # weight or alternating sum, and builds no table of its own.  Nested
     # tables made 15, 35, 5 and 83 for lambda2 and 4, 5, 2 and 7 for
     # Casson.  lambda2 builds one table per distinct piece's cable:
     # trefoils-two's two pieces are one trefoil.
     p = chain(4) if name == "chain 4" else sp(name)
     d = p.diagram
     pieces = {sublink(d, d.mask_components(piece)).canonical_key() for piece in d.pieces}
+
+    def refuse(*args):
+        raise AssertionError("a sublink table called a public weight")
+
+    monkeypatch.setattr(invariants, "jones_sublink_weight", refuse)
+    monkeypatch.setattr(invariants, "sublink_alternating_series", refuse)
     tables = count_tables(monkeypatch)
     memo.clear()
     ohtsuki_lambda2(p)
