@@ -209,9 +209,9 @@ class LinkDiagram:
         the kept components in the crossing adjacency.  Each piece costs a
         few operations over the whole mask, so a wide mask of many pieces
         is quadratic in them.  No caller passes a marker beside other
-        components: ``pieces`` leaves markers out, and
-        ``sublink_alternating_series`` and ``skein._conway`` give 0 on
-        such a diagram first.  Wide masks of many pieces with crossings
+        components: ``pieces`` leaves markers out, and the public weight,
+        alternating sum and ``skein._conway`` give 0 on such a diagram
+        first.  Wide masks of many pieces with crossings
         come from ``pieces``, from the sublink table of a split diagram
         (for ``jones_sublink_weight`` or ``sublink_alternating_series``)
         and from ``skein._conway`` on a split resolution node."""

@@ -30,10 +30,11 @@ derivatives of V(e^h) at h = 0 together with the z^4 Conway coefficient.
 
 The alternating sum is taken on integral Jones polynomials: multiplied by
 s^(#L - 1), where s = t^{1/2} + t^{-1/2}, it is a Laurent polynomial P(L)
-with integer coefficients, memoized per connected sublink, and only the
-final division expands a series.  Each evaluation (one surgery sum, or
-one alternating sum) keeps one table of the sublinks of the diagram it
-started from, addressed by component bitmask.  P is read off V by
+with integer coefficients, memoized per connected sublink only, and only
+the final division expands a series.  Each evaluation (one surgery sum,
+one weight phi_i or one alternating sum) keeps one table of the sublinks
+of the diagram it started from, addressed by component bitmask, and
+reads every P, weight and series from it.  P is read off V by
 Moebius inversion: V(L) = sum over sublinks L' of s^(#L - #L') P(L'),
 with P = 1/s on the empty sublink, so
 
@@ -148,46 +149,34 @@ def sublink_alternating_series(d: LinkDiagram, order: int) -> TruncSeries:
     """Alternating sum of X over all sublinks, as P(L) / s^(#L - 1) with
     s = t^{1/2} + t^{-1/2} and P the integral Jones sum of ``_Sublinks.alt``.
 
-    A diagram with an unknot marker gives 0 before any table or walk: the
-    marker is a split piece with P = V(O) - 1 = 0.  Otherwise P is read
-    from the ``alt`` memo by d's canonical key, where a table that built d
-    as a connected sublink has stored it; only a miss builds a table of d,
-    whose full mask may be wide, of many split pieces.  No table calls
-    this function: a table reads its own P."""
+    The empty link gives 1, and a diagram with an unknot marker gives 0
+    before any table or walk: the marker is a split piece with
+    P = V(O) - 1 = 0.  Every other diagram is summed by a table of d, on
+    its full mask, which may be wide, of many split pieces.  No table
+    calls this function: a table reads its own P."""
     n = d.components
     if n == 0:
         return TruncSeries.one(order)
     if d.unknotted_components:
         return TruncSeries.zero(order)
-    p = memo.lookup("alt", d.canonical_key(), lambda: _Sublinks(d).alt((1 << n) - 1))
-    return _divide_by_s_power(p, n, order)
-
-
-def _divide_by_s_power(p: HalfLaurent, n: int, order: int) -> TruncSeries:
-    """P / s^(n - 1) about t = 1, to ``order``, for the P of an
-    n-component link: its alternating sum.  The inverse power of s is
-    memoized per (n, order)."""
-    inverse = memo.lookup("inverse", (n, order),
-                          lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
-    return laurent_to_series(p, order) * inverse
+    return _Sublinks(d).series((1 << n) - 1, order)
 
 
 def jones_sublink_weight(d: LinkDiagram, i: int) -> Fraction:
     """The scaled derivative phi_i = (-2)^#L / (#L + i)! * Phi_(#L + i),
     where Phi_k is the k-th t-derivative of the alternating sum at t = 1.
 
-    It is one coefficient of the alternating sum, whose P the ``alt`` memo
-    holds, so phi keeps no memo of its own; on the empty link, whose sum
-    is the constant 1, it gives 1 for i = 0 and 0 otherwise.  A link of
-    several pieces with crossings and no unknot marker is weighed by a
-    table of d, which takes the split rule of the module docstring where
-    it holds (an algebraically split d and i <= 2: no series at all, since
-    the series route is about cubic in the number of pieces) and reads
-    every other weight off the product of its pieces' P."""
-    n = d.components
-    if len(d.pieces) > 1 and not d.unknotted_components:
-        return _Sublinks(d)((1 << n) - 1, i)
-    return (-2) ** n * sublink_alternating_series(d, n + i).coeff(n + i)
+    A diagram with an unknot marker gives 0, as its alternating sum does.
+    Every other diagram, the empty link included, is weighed by a table
+    of d on its full mask: phi_i is one coefficient of the alternating
+    sum, whose P the table reads from the ``alt`` memo by connected
+    sublink, so phi keeps no memo of its own.  An algebraically split d
+    takes the split rule of the module docstring for i <= 2, with no
+    series at all (the series is about cubic in the number of pieces);
+    every other weight is read off the product of its pieces' P."""
+    if d.unknotted_components:
+        return Fraction(0)
+    return _Sublinks(d)((1 << d.components) - 1, i)
 
 
 # Most sublinks one sum may walk: 2^k - 1 submasks of a k-component piece
@@ -205,8 +194,8 @@ def _check_budget(count: int, walk: str) -> None:
 
 class _Sublinks:
     """The sublinks of one diagram d, addressed by component bitmask (bit c
-    keeps component c), for one evaluation: one surgery sum or one
-    alternating sum.
+    keeps component c), for one evaluation: one surgery sum, one weight
+    or one alternating sum.
 
     ``alt`` gives P of every mask, once per table: a split mask is s^(k-1)
     times the product over its k pieces from ``LinkDiagram.piece_masks``,
@@ -217,21 +206,22 @@ class _Sublinks:
     once per table, when ``alt`` first meets it; the table never restricts
     a sublink it built.
 
-    Calling the table gives phi_i of a mask.  When d has no nonzero
-    linking number and i <= 2, a split mask takes the split rule of the
-    module docstring, from its pieces' phi_1, so it is never built; every
-    other nonempty mask reads one coefficient of its own P from ``alt``.  So
-    the table calls no public function for a weight and builds no table
-    of its own, and Casson builds one table, of L, and lambda2 one per
-    distinct piece, of its cable.  The masks they walk lie within one
-    piece; only ``sublink_alternating_series`` and
-    ``jones_sublink_weight`` hand the table a full mask of several
-    pieces.  The submask walk of d's largest piece in
-    ``LinkDiagram.pieces`` is checked against the sublink budget before
-    any work starts; it bounds the surgery sums too, which walk the
-    submasks of one such piece at a time.  An unknot marker is no such
-    piece: it and every sub-cable of its cable have P = 0, so it adds
-    nothing to either sum.
+    Calling the table gives phi_i of a mask, and ``series`` the mask's
+    alternating sum P / s^(n - 1) to a given order.  The public
+    ``jones_sublink_weight`` and ``sublink_alternating_series`` read both
+    on d's full mask, so every weight and every alternating sum takes
+    this one route.  When d has no nonzero linking number and i <= 2, a
+    split mask takes the split rule of the module docstring, from its
+    pieces' phi_1, so it is never built; every other nonempty mask reads
+    one coefficient of its own series.  So the table calls no public
+    function for a weight and builds no table of its own, and Casson
+    builds one table, of L, and lambda2 one per distinct piece, of its
+    cable, whose masks lie within one piece.  The submask walk of d's
+    largest piece in ``LinkDiagram.pieces`` is checked against the
+    sublink budget before any work starts; it bounds the surgery sums
+    too, which walk the submasks of one such piece at a time.  An unknot
+    marker is no such piece: it and every sub-cable of its cable have
+    P = 0, so it adds nothing to either sum.
     """
 
     def __init__(self, d: LinkDiagram):
@@ -285,7 +275,16 @@ class _Sublinks:
                 return self(pieces[0], 1) * self(pieces[1], 1)
             return Fraction(not pieces and i == 0)
         n = mask.bit_count()
-        return (-2) ** n * _divide_by_s_power(self.alt(mask), n, n + i).coeff(n + i)
+        return (-2) ** n * self.series(mask, n + i).coeff(n + i)
+
+    def series(self, mask: int, order: int) -> TruncSeries:
+        """The alternating sum P / s^(n - 1) of the nonempty ``mask`` of n
+        components, about t = 1, to ``order``.  The inverse power of s is
+        memoized per (n, order)."""
+        n = mask.bit_count()
+        inverse = memo.lookup("inverse", (n, order),
+                              lambda: laurent_to_series(HALF_SUM ** (n - 1), order).invert())
+        return laurent_to_series(self.alt(mask), order) * inverse
 
 
 def casson_invariant(sp: SurgeryPresentation) -> Fraction:

@@ -13,8 +13,9 @@ its crossings, split pieces included, without the unknot-marker factors),
 ``jones`` (the surgery sums store connected sublinks only, since the
 alternating sum reads V of a connected sublink alone; the ``jones`` row
 stores whatever diagram it is given),
-``alt`` (the integral alternating sublink sum, per connected sublink,
-and per diagram whose whole sum was asked for directly),
+``alt`` (the integral alternating sublink sum, per connected sublink
+only: a split diagram's is the product of its pieces', and every caller
+reads it through a sublink table),
 ``inverse`` (the series 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed
 by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and
 ``psi2`` alike), ``casson`` and ``lambda2`` (framed keys), and

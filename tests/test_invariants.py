@@ -1,6 +1,7 @@
 """Surgery-formula invariants: Casson, lambda1, lambda2, phi weights, and
 the induced knot invariant psi2."""
 
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ftik.diagram import (
     disjoint_union,
     parallel,
     sublink,
+    switch_crossing,
     with_framings,
 )
 from ftik.invariants import (
@@ -217,6 +219,9 @@ def test_sublink_alternating_series_factored_matches_naive():
         catalog.get("trefoil-right").diagram, catalog.get("figure-eight").diagram
     )
     factored = sublink_alternating_series(split, 8)
+    jones_sublink_weight(split, 3)
+    # The ``alt`` memo holds connected sublinks only, never a split diagram.
+    assert split.canonical_key() not in memo._TABLES["alt"]
     # The oracle computes its own X values instead of reading the factored
     # sum's from the memo.
     memo.clear()
@@ -781,15 +786,31 @@ def test_surgery_sums_build_one_sublink_table(monkeypatch, name):
     assert len(tables) == 1
 
 
-def test_phi_of_a_memoized_alternating_sum_builds_no_table(monkeypatch):
+def count_walks(monkeypatch):
+    """A list that grows by one name per ``sublink``, ``jones`` or
+    ``_Sublinks._alt_piece`` call made by the invariants module."""
+    walks = []
+    for owner, name in ((invariants, "sublink"), (invariants, "jones"),
+                        (invariants._Sublinks, "_alt_piece")):
+        monkeypatch.setattr(owner, name, lambda *args, f=getattr(owner, name), name=name:
+                            walks.append(name) or f(*args))
+    return walks
+
+
+def test_phi_of_a_memoized_alternating_sum_walks_no_sublink(monkeypatch):
     # P of chain 4's connected sublink on components 0-2 is memoized by
-    # chain 4's table; phi of that sublink reads it without a table.
+    # chain 4's table; phi of that sublink reads it from the ``alt`` memo,
+    # with no sublink built, no V read and no submask summed.
     d = chain(4).diagram
     invariants._Sublinks(d).alt(0b0111)
-    tables = count_tables(monkeypatch)
     three = sublink(d, [0, 1, 2])
+    walks = count_walks(monkeypatch)
     weights = [jones_sublink_weight(three, i) for i in (1, 2)]
-    assert not tables
+    assert not walks
+    # Without the memoized P the same weights walk the sublinks.
+    memo._TABLES["alt"].clear()
+    assert [jones_sublink_weight(three, i) for i in (1, 2)] == weights
+    assert walks
     monkeypatch.undo()
     memo.clear()
     assert weights == [jones_sublink_weight(three, i) for i in (1, 2)]
@@ -930,6 +951,47 @@ def test_psi2_matches_lambda2_surgery_definition():
         if d.components == 1 and d.framings == (0,):
             plus_one = SurgeryPresentation(with_framings(d, (1,)))
             assert psi2_knot_invariant(d) == ohtsuki_lambda2(plus_one), entry.name
+
+
+def test_surgery_induces_knot_invariants_of_order_four_and_two():
+    # +1 surgery turns an invariant of Ohtsuki order 3n into a knot
+    # invariant of Vassiliev order at most 2n: K -> lambda2(S^3_(+1)(K))
+    # has order 4 and K -> Casson order 2.  So on seeded braid-closure
+    # knots, every alternating sum over the switches of 5 crossings
+    # vanishes for lambda2, and every one over 3 crossings for Casson,
+    # whatever the other picked crossings are set to.  Some 4-fold
+    # (2-fold) sum is nonzero, so the vanishing is not automatic.
+    rng = random.Random(31)
+    knots = []
+    while len(knots) < 8:
+        strands = rng.randint(2, 4)
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(6, 12))]
+        knot = closed_braid(strands, word)
+        if knot.components == 1:
+            knots.append(knot)
+    nonzero = set()
+    for knot in knots:
+        picks = rng.sample(range(len(knot.crossings)), 5)
+        # values[S]: both invariants with the picked crossings in S switched.
+        values = []
+        for switched in range(32):
+            d = knot
+            for bit, c in enumerate(picks):
+                if switched >> bit & 1:
+                    d = switch_crossing(d, c)
+            p = SurgeryPresentation(with_framings(d, (1,)))
+            values.append((ohtsuki_lambda2(p), casson_invariant(p)))
+        for chosen, rest in product(range(32), repeat=2):
+            if chosen & rest == 0:
+                for which, order in enumerate((4, 2)):
+                    total = sum((-1) ** sub.bit_count() * values[rest | sub][which]
+                                for sub in range(32) if sub & chosen == sub)
+                    if chosen.bit_count() > order:
+                        assert total == 0, (knot, picks, chosen, rest, which)
+                    elif total and chosen.bit_count() == order:
+                        nonzero.add(which)
+    assert nonzero == {0, 1}
 
 
 def test_values_are_fractions():
