@@ -250,15 +250,17 @@ class LinkDiagram:
         out = [[0] * n for _ in range(n)]
         for p, f in enumerate(self.framings):
             out[p][p] = f
-        for (p, q), lk in self._linking_numbers().items():
+        for (p, q), lk in self._linking_numbers.items():
             out[p][q] = out[q][p] = lk
         return out
 
+    @cached_property
     def _linking_numbers(self) -> dict[_Pair, int]:
         """The nonzero linking numbers by component pair (p, q), p < q, in
         that order.  Only components that share a crossing can link, so one
-        pass over the crossings finds them all; an odd signed crossing
-        count between two of them raises ``DiagramError``."""
+        pass over the crossings, made once per instance, finds them all; an
+        odd signed crossing count between two of them raises
+        ``DiagramError``."""
         sums: dict[_Pair, int] = {}
         for i, (p, q) in enumerate(self._component_pairs):
             if p != q:
@@ -766,7 +768,7 @@ class SurgeryPresentation:
                 problems.append(f"component {i} has framing {f}, expected +1 or -1")
         if not problems:
             problems = [f"components {p} and {q} have linking number {lk}"
-                        for (p, q), lk in d._linking_numbers().items()]
+                        for (p, q), lk in d._linking_numbers.items()]
         if problems:
             raise DiagramError(problems)
 

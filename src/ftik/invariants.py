@@ -228,7 +228,7 @@ class _Sublinks:
         largest = max((piece.bit_count() for piece in d.pieces), default=0)
         _check_budget(2 ** largest - 1, "alternating sum over {} sublinks of one piece")
         self._d = d
-        self._split_rule = not d._linking_numbers()
+        self._split_rule = not d._linking_numbers
         self._alts: dict[int, HalfLaurent] = {}
 
     def alt(self, mask: int) -> HalfLaurent:

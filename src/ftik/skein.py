@@ -108,42 +108,40 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
 
     A state is a tuple over the plan's slots: an open arc's slot holds the
     slot at the other end of its strand, a free slot holds -1.  Its weight
-    is a pair ``(low, x)`` with ``x = sum_j c_j 2^(b j)``, which stands for
-    sum_j c_j A^(low + 2j): after k steps every exponent has the parity of
-    k, so the digits step by A^2.  The digits are balanced, in
-    [-2^(b-1), 2^(b-1)), and ``x`` is one signed ``int``.
-
-    The width ``b = 3n + 2`` for n crossings is safe: a weight is a sum
-    over the smoothing paths that reach its state, each contributing
-    (-A^2 - A^(-2))^(loops it closed) times a power of A, whose
-    coefficients have absolute sum 2^loops.  A path of k <= n steps closes
-    at most 2k loops, so every |c_j| <= 2^k 4^k = 8^k < 2^(b-1), and no
-    digit ever carries into its neighbour.
+    is a pair ``(low, x)`` that stands for A^low f(A^2), with f an integer
+    polynomial and ``x = f(2^b)`` one signed ``int``: after k steps every
+    exponent has the parity of k, so X = A^2 steps the digits.
 
     A smoothing patches a copy of the tuple, moves ``low`` by its A-shift
     and by -2 per loop it closed, and multiplies ``x`` by the packed
     (-A^2 - A^(-2))^loops.  Adding into a state whose ``low`` differs
     shifts the operand with the higher ``low`` left by b digits per A^2.
+    Each of these is a ring operation, and f -> f(2^b) is a ring
+    homomorphism Z[X] -> Z (Kronecker substitution), so ``x`` is exact
+    whatever carries pass between its digits.  Every path counts every
+    loop, so the closed state holds (-A^2 - A^(-2)) <d>; that factor
+    packs to -(1 + 2^(2b)) from A^(-2), and one exact integer division by
+    it leaves <d> evaluated at 2^b, whose balanced digits, in
+    [-2^(b-1), 2^(b-1)), are the bracket's coefficients once each of
+    them has |c| < 2^(b-1).
 
-    The sum over all paths is (-A^2 - A^(-2)) times the bracket.  The last
-    crossing's two joins leave no slot open, so every path closes one or
-    two loops there; that step multiplies by the factors for one loop
-    fewer, and ``low`` gets its 2 back before decoding.  So one loop is
-    credited on every path, which gives the bracket itself, and the bound
-    above still holds.  The closed state's weight is decoded into an
-    ``IntLaurent`` once.
+    The width ``b = n + c + 1``, for n crossings and c components, covers
+    that.  By Thistlethwaite's spanning-tree expansion each spanning tree
+    of a connected piece's Tait graph gives one monomial +-A^k of its
+    bracket, and a Tait graph with n_j edges has fewer than 2^(n_j)
+    spanning trees, each a set of its edges.  A split union multiplies its
+    p pieces' brackets by (-A^2 - A^(-2))^(p-1), so the coefficients'
+    absolute sum stays below 2^(n+p-1) <= 2^(b-2), as p <= c.  The plain
+    state count (2^n states, each closing at most n + p loops) would give
+    only 2n + c + 1 bits.
     """
     n_slots, plan = _contraction_plan(d.crossings)
-    b = 3 * len(d.crossings) + 2
+    b = len(d.crossings) + d.components + 1
     # (-A^2 - A^(-2))^loops for 0, 1 and 2 loops, packed from A^(-2 loops).
     loop_factors = (1, -(1 + (1 << 2 * b)), 1 + (1 << (2 * b + 1)) + (1 << 4 * b))
     closed = (-1,) * n_slots
     states: dict[tuple, tuple[int, int]] = {closed: (0, 1)}
-    last = len(plan) - 1
-    for step, branches in enumerate(plan):
-        if step == last:
-            # Every path closes one or two loops here; credit one of them.
-            loop_factors = (None,) + loop_factors[:2]
+    for branches in plan:
         new_states: dict[tuple, tuple[int, int]] = {}
         for key, (low, x) in states.items():
             for joins, shift in branches:
@@ -176,7 +174,7 @@ def _contract_piece(d: LinkDiagram) -> IntLaurent:
         states = new_states
     assert set(states) <= {closed}
     low, x = states.get(closed, (0, 0))
-    low += 2
+    low, x = low + 2, x // loop_factors[1]
     mask, half = (1 << b) - 1, 1 << (b - 1)
     coeffs: dict[int, int] = {}
     while x:

@@ -54,8 +54,9 @@ diagram, split pieces included, crossing by crossing and merges states.
 ``contract_piece_dict`` contracts a diagram's crossings on the library's
 plan and state tuples, but keeps each state's weight as a ``dict`` from
 A-exponent to coefficient and counts every loop, so it returns
-(-A^2 - A^(-2)) times the bracket; the library packs each weight into one
-integer and credits one loop at the last crossing.
+(-A^2 - A^(-2)) times the bracket; the library counts every loop too, but
+packs each weight into one integer and divides the closed state's weight
+once by the packed (-A^2 - A^(-2)).
 """
 
 import math

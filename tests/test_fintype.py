@@ -70,8 +70,11 @@ def test_lambda2_difference_sums_of_graph_links():
     # lambda2 - 18 casson^2 is of lower order there.  Chains 5, 6 and 7 are
     # not split; on chain 6 lambda2 - 18 casson^2 vanishes as well, and on
     # chain 7 Delta lambda2 vanishes, as an invariant of order <= 6 must on
-    # 7 components.
+    # 7 components.  On the digons graph lambda2 - 18 casson^2 does not
+    # vanish, so it is not of lower order and the order-6 weight systems
+    # of lambda2 and casson^2 have rank 2.
     theta_theta = graph_link(6, [(0, 1, 2), (3, 4, 5)])
+    digons = graph_link(6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
     squared = InvariantFunction("casson^2", lambda sp: CASSON(sp) ** 2)
     rest = InvariantFunction("lambda2 - 18 casson^2",
                              lambda sp: LAMBDA2(sp) - 18 * CASSON(sp) ** 2)
@@ -81,6 +84,9 @@ def test_lambda2_difference_sums_of_graph_links():
     assert difference_sum(LAMBDA2, chain(5)) == -60
     assert difference_sum(rest, chain(6)) == 0
     assert difference_sum(LAMBDA2, chain(7)) == 0
+    assert difference_sum(LAMBDA2, digons) == 120
+    assert difference_sum(squared, digons) == 4
+    assert difference_sum(rest, digons) == 48
 
 
 def test_difference_sum_checks_the_whole_presentation_first():

@@ -152,6 +152,33 @@ def test_packed_kernel_matches_dict_kernel_on_random_cables(word, m):
     assert_kernels_agree(parallel(closed_braid(*word), m))
 
 
+def assert_width_premise(d):
+    # The packed kernel's width of n + c + 1 bits rests on this bound, from
+    # the spanning-tree expansion: the bracket of n crossings in p split
+    # pieces has coefficients whose absolute sum is below 2^(n + p - 1).
+    # The oracle tests above only catch widths far below it.
+    if d.crossings:
+        total = sum(abs(c) for _e, c in skein._contract_piece(d).terms)
+        assert total < 2 ** (len(d.crossings) + len(d.pieces) - 1)
+
+
+def test_bracket_width_premise_on_catalog_cables():
+    for entry in catalog.entries():
+        for d in (entry.diagram, parallel(entry.diagram, 2), parallel(entry.diagram, 3)):
+            assert_width_premise(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(braid_words(3, 6).map(lambda w: closed_braid(*w)), min_size=1, max_size=3),
+       st.integers(min_value=2, max_value=3))
+def test_bracket_width_premise_on_random_cables_and_unions(closures, m):
+    d = closures[0]
+    for other in closures[1:]:
+        d = disjoint_union(d, other)
+    assert_width_premise(d)
+    assert_width_premise(parallel(d, m))
+
+
 # Most bracket states alive after one contraction step of a 2-parallel.
 CABLE_PEAK_STATES = {"whitehead": 14, "borromean": 42, "T(3,4)": 131}
 
