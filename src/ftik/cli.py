@@ -40,7 +40,7 @@ from .diagram import (
 )
 from .errors import DiagramError, ResourceLimitError, SingularSeriesError, TruncationError
 from .fintype import CASSON, INVARIANTS, LAMBDA2, order_check
-from .invariants import jones_exp_derivative, normalized_jones_series
+from .invariants import jones_exp_derivative, normalized_jones_series, psi2_knot_invariant
 from .series import HalfLaurent, format_laurent, format_rational
 from .skein import jones
 
@@ -194,7 +194,7 @@ def _suite_cross_formula() -> list[dict]:
         d = entry.diagram
         if d.components == 1 and all(f == 0 for f in d.framings):
             l2 = INVARIANTS["lambda2"][0](with_framings(d, (1,)))
-            p2 = INVARIANTS["psi2"][0](d)
+            p2 = psi2_knot_invariant(d)
             _check(out, f"{entry.name}:psi2-vs-lambda2", p2, p2 == l2)
     for entry in _catalog.asl_entries():
         d = entry.diagram

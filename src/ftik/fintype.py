@@ -19,15 +19,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .diagram import SurgeryPresentation
+from .diagram import SurgeryPresentation, with_framings
 from .invariants import (
     _check_budget,
+    _check_knot,
     casson_invariant,
     jones_exp_derivative,
     jones_sublink_weight,
     ohtsuki_lambda1,
     ohtsuki_lambda2,
-    psi2_knot_invariant,
 )
 from .series import format_rational
 from .skein import conway, conway_a2, jones
@@ -50,15 +50,15 @@ LAMBDA2 = InvariantFunction("lambda2", ohtsuki_lambda2)
 
 #: The invariant table behind ``compute`` and the verify suites: name ->
 #: (evaluate(diagram), polynomial variable or None for a rational).  The
-#: surgery rows call through ``CASSON``, ``LAMBDA1`` and ``LAMBDA2``, and
-#: the other rows look their function up at call time, so a function
-#: rebound on this module or on those objects (e.g. by a tracer) sees
-#: every call.
+#: surgery rows call through ``CASSON``, ``LAMBDA1`` and ``LAMBDA2``, psi2
+#: too (lambda2 of +1 surgery on a knot), and the other rows look their
+#: function up at call time, so a function rebound on this module or on
+#: those objects (e.g. by a tracer) sees every call.
 INVARIANTS = {
     "casson": (lambda d: CASSON(SurgeryPresentation(d)), None),
     "lambda1": (lambda d: LAMBDA1(SurgeryPresentation(d)), None),
     "lambda2": (lambda d: LAMBDA2(SurgeryPresentation(d)), None),
-    "psi2": (lambda d: psi2_knot_invariant(d), None),
+    "psi2": (lambda d: LAMBDA2(SurgeryPresentation(with_framings(_check_knot(d), (1,)))), None),
     "a2": (lambda d: conway_a2(d), None),
     "jones": (lambda d: jones(d), "t"),
     "conway": (lambda d: conway(d), "z"),

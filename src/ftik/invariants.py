@@ -25,8 +25,8 @@ linearly independent, so phi_1 = 6 a2 on every sublink of an algebraically
 split link (each of which is algebraically split again).  The Conway
 resolution tree behind a2 is therefore off every surgery sum; it stays the
 second, independent engine for the phi_1 = 6 a2 check.  The induced knot
-invariant psi2 evaluates lambda2 on +1-surgery and has a closed form in
-derivatives of V(e^h) at h = 0 together with the z^4 Conway coefficient.
+invariant psi2 is lambda2 of +1-surgery; its closed form in derivatives of
+V(e^h) at h = 0 and the z^4 Conway coefficient is kept as the reference.
 
 The alternating sum is taken on integral Jones polynomials: multiplied by
 s^(#L - 1), where s = t^{1/2} + t^{-1/2}, it is a Laurent polynomial P(L)
@@ -392,9 +392,17 @@ def jones_exp_derivative(d: LinkDiagram, i: int) -> Fraction:
     return math.factorial(i) * in_h.coeff(i)
 
 
+def _check_knot(d: LinkDiagram) -> LinkDiagram:
+    """d itself, once it is checked to be a knot, the domain of psi2."""
+    if d.components != 1:
+        raise DiagramError("psi2 is a knot invariant; diagram must have one component")
+    return d
+
+
 def psi2_knot_invariant(d: LinkDiagram) -> Fraction:
     """The knot invariant induced by lambda2 through +1-framed surgery,
-    in closed form:
+    in closed form, the reference for the ``psi2`` row (which reads lambda2
+    of the surgery):
 
         psi2 = (3/2) v2 - (1/3) v3 + (5/3) v2^2 - 60 a4,
 
@@ -413,8 +421,7 @@ def psi2_knot_invariant(d: LinkDiagram) -> Fraction:
     (7/6) v2 + (1/6) v4 + v2^2 - 60 a4 (e.g. 21 instead of 69 on the
     figure-eight knot), so it is not used here.
     """
-    if d.components != 1:
-        raise DiagramError("psi2 is a knot invariant; diagram must have one component")
+    _check_knot(d)
     v2 = jones_exp_derivative(d, 2)
     v3 = jones_exp_derivative(d, 3)
     a4 = conway(d).coeff(4)

@@ -18,7 +18,7 @@ only: a split diagram's is the product of its pieces', and every caller
 reads it through a sublink table),
 ``inverse`` (the series 1/s^(#L - 1) with s = t^(1/2) + t^(-1/2), keyed
 by (#L, order) rather than by a diagram), ``conway`` (read by ``a2`` and
-``psi2`` alike), ``casson`` and ``lambda2`` (framed keys), and
+psi2's closed form alike), ``casson`` and ``lambda2`` (framed keys), and
 ``lambda2_piece`` (one split piece's lambda2 sums with the framings taken
 out, as (sign mask, alpha, beta) triples, keyed by the piece's
 framing-free key).  These are the eight tables.  A sublink weight phi_i

@@ -33,6 +33,16 @@ def _fr(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _power(result, base, n: int):
+    """result * base ** n for n >= 0, by square-and-multiply."""
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -85,10 +95,7 @@ class _Laurent:
         return type(self).from_dict(d)
 
     def __sub__(self, other):
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) - c
-        return type(self).from_dict(d)
+        return self + -other
 
     def __neg__(self):
         return type(self)(tuple((e, -c) for e, c in self.terms))
@@ -108,14 +115,7 @@ class _Laurent:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of Laurent polynomials are not defined here")
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(type(self).one(), self, n)
 
 
 class IntLaurent(_Laurent):
@@ -225,10 +225,7 @@ class TruncSeries:
         )
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_order(other)
-        return TruncSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -other
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self.order, tuple(-c for c in self.coeffs))
@@ -271,14 +268,7 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             return (self ** (-n)).invert()
-        result = TruncSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(TruncSeries.one(self.order), self, n)
 
 
 def laurent_to_series(p: HalfLaurent, order: int) -> TruncSeries:

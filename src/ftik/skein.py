@@ -20,8 +20,8 @@ resolution tree that unknots diagrams towards descending form.
 
 Brackets, Jones values and Conway polynomials are memoized in
 ``ftik.memo`` by ``LinkDiagram.canonical_key``, so every function here
-remains observably pure; a2 and psi2's a4 read one memoized Conway
-polynomial.
+remains observably pure; a2 and the a4 of psi2's closed form read one
+memoized Conway polynomial.
 """
 
 from __future__ import annotations

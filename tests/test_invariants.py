@@ -34,7 +34,7 @@ from ftik.invariants import (
     sublink_alternating_series_naive,
 )
 from ftik.errors import DiagramError, ResourceLimitError
-from ftik.fintype import LAMBDA2, difference_sum
+from ftik.fintype import INVARIANTS, LAMBDA2, difference_sum
 from ftik.skein import conway_a2
 from oracles import (
     braid_closures,
@@ -101,6 +101,14 @@ def test_surgery_sums_never_walk_the_conway_tree(monkeypatch):
         ohtsuki_lambda2(p)
     for n in range(3, 7):
         casson_invariant(chain(n))
+    # The psi2 row reads lambda2 of +1 surgery, not the closed form's a4.
+    psi2 = INVARIANTS["psi2"][0]
+    for entry in catalog.entries():
+        d = entry.diagram
+        if d.components == 1:
+            plus_one = SurgeryPresentation(with_framings(d, (1,)))
+            assert psi2(d) == lambda2_every_subcable(plus_one), entry.name
+    assert psi2(closed_braid(2, [(0, 1)] * 15)) == 37548
 
 
 def test_casson_matches_hoste_oracle():

@@ -51,6 +51,26 @@ def test_trunc_series_mul_invert():
     assert (s**3).coeff(2) == 3
 
 
+def test_trunc_series_subtraction_and_powers():
+    s = TruncSeries.from_coeffs([2, -1, Fraction(1, 3)], 4)
+    t = TruncSeries.from_coeffs([5, 0, 7, 1], 4)
+    assert s - t == s + -t
+    assert [(s - t).coeff(k) for k in range(5)] == [-3, -1, Fraction(-20, 3), -1, 0]
+    with pytest.raises(ValueError):
+        s - TruncSeries.from_coeffs([5], 3)
+    assert s ** -2 == (s ** 2).invert()
+    assert s ** 0 == TruncSeries.one(4)
+
+
+def test_laurent_powers():
+    p = HalfLaurent.from_dict({-1: 1, 1: 1})
+    assert p ** 0 == HalfLaurent.one()
+    assert p ** 3 == p * p * p
+    assert IntLaurent.monomial(-1, 2) ** 0 == IntLaurent.one()
+    with pytest.raises(ValueError):
+        IntLaurent.monomial(1) ** -1
+
+
 def test_trunc_series_invert_needs_unit():
     u = TruncSeries.from_coeffs([0, 1], 4)
     with pytest.raises(SingularSeriesError):

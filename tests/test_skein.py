@@ -130,6 +130,11 @@ def test_contraction_plan_matches_rescoring_on_random_cables(word, m):
         cable.crossings)
 
 
+# A 40-crossing alternating knot: its bracket's largest coefficient needs 25
+# bits and the absolute sum of its coefficients 28, below the bound of 2^39.
+ALTERNATING_40 = closed_braid(3, [(0, 1), (1, -1)] * 20)
+
+
 def assert_kernels_agree(d):
     # Both kernels contract every crossing of d at once, split or not; the
     # dict kernel counts every loop, so it gives (-A^2 - A^(-2)) <d>.
@@ -144,6 +149,8 @@ def test_packed_kernel_matches_dict_kernel_on_catalog_and_cables():
     # 3-parallels reach larger coefficients of both signs.
     for name in ("trefoil-right", "hopf-positive", "whitehead"):
         assert_kernels_agree(parallel(catalog.get(name).diagram, 3))
+    # Coefficients up to 2^25 catch a width far below n + c + 1 bits.
+    assert_kernels_agree(ALTERNATING_40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,6 +173,7 @@ def test_bracket_width_premise_on_catalog_cables():
     for entry in catalog.entries():
         for d in (entry.diagram, parallel(entry.diagram, 2), parallel(entry.diagram, 3)):
             assert_width_premise(d)
+    assert_width_premise(ALTERNATING_40)
 
 
 @settings(max_examples=40, deadline=None)
