@@ -12,8 +12,8 @@ Diagrams are immutable values and every operation here is a pure function.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, count
 from typing import Callable, Iterable, Sequence
 
@@ -21,6 +21,20 @@ from .errors import DiagramError
 
 Crossing = tuple[int, int, int, int]
 _Pair = tuple[int, int]
+
+
+class _cached:
+    """A per-instance cache like ``functools.cached_property``, without its
+    lock: the first read stores the value in the instance's ``__dict__``."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,8 @@ class LinkDiagram:
         violations = pd_violations(crossings)
         if violations:
             raise DiagramError(violations)
+        # Plain ints, which ``marshal`` can encode in ``canonical_key``.
+        crossings = tuple(tuple(map(int, c)) for c in crossings)
         other_end = _other_end(crossings)
         over_in = _infer_over_in(crossings, other_end)
         d = cls.assemble(crossings, over_in, framings, unknotted_components)
@@ -91,7 +107,7 @@ class LinkDiagram:
     def unknotted_components(self) -> int:
         return self.component_arcs.count(())
 
-    @cached_property
+    @_cached
     def _component_pairs(self) -> tuple[_Pair, ...]:
         """Each crossing's (under, over) component pair.  With
         ``_strand_walks`` this is the strand index, built once per instance
@@ -99,7 +115,7 @@ class LinkDiagram:
         comp_of = {a: c for c, arcs in enumerate(self.component_arcs) for a in arcs}
         return tuple([(comp_of[a], comp_of[b]) for a, b, _c, _e in self.crossings])
 
-    @cached_property
+    @_cached
     def _strand_walks(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per component, its arcs in order, each as (arc, the component
         met at its head, the index of the crossing at its head), the head
@@ -181,7 +197,7 @@ class LinkDiagram:
         return [f"diagram is not planar: {len(self.crossings)} crossings in {pieces} "
                 f"pieces bound {faces} faces, a planar diagram bounds {planar}"]
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> tuple[int, ...]:
         """Per component, the bitmask of the other components it crosses."""
         adjacency = [0] * self.components
@@ -191,7 +207,7 @@ class LinkDiagram:
                 adjacency[q] |= 1 << p
         return tuple(adjacency)
 
-    @cached_property
+    @_cached
     def pieces(self) -> tuple[int, ...]:
         """The split pieces that have crossings, as component bitmasks
         ordered by smallest component: ``piece_masks`` of the components
@@ -254,7 +270,7 @@ class LinkDiagram:
             out[p][q] = out[q][p] = lk
         return out
 
-    @cached_property
+    @_cached
     def _linking_numbers(self) -> dict[_Pair, int]:
         """The nonzero linking numbers by component pair (p, q), p < q, in
         that order.  Only components that share a crossing can link, so one
@@ -276,7 +292,7 @@ class LinkDiagram:
 
     # -- canonical key ------------------------------------------------------
 
-    def canonical_key(self, include_framings: bool = False) -> tuple:
+    def canonical_key(self, include_framings: bool = False) -> bytes:
         """A cache key: equal keys mean diagrams equal up to arc names.
 
         Its body is the sorted (crossing, over_in) pairs of the diagram with
@@ -286,23 +302,26 @@ class LinkDiagram:
         renamings of the arcs that keep the order of their ids, but not
         under every relabelling: the same diagram with its arcs named in
         another order can get another key, and a memo hit rate depends on
-        how arcs are named.  Both keys are built once per instance, outside
-        the dataclass fields, so equality and hashing are unaffected.
+        how arcs are named.  The key is the ``marshal`` bytes (version 2:
+        no back-references, so equal values give equal bytes) of (body,
+        components, unknotted components); the framed key appends those of
+        (framings, marker indices).  Both keys are built once per instance,
+        outside the dataclass fields, so equality and hashing are unaffected.
         """
         return self._keys[include_framings]
 
-    @cached_property
-    def _keys(self) -> tuple[tuple, tuple]:
-        relabel = {a: i for i, a in enumerate(chain.from_iterable(self.component_arcs), 1)}
-        body = tuple(
-            sorted(
-                (tuple(relabel[x] for x in cr), oi)
-                for cr, oi in zip(self.crossings, self.over_in)
-            )
-        )
-        key = (body, self.components, self.unknotted_components)
+    @_cached
+    def _keys(self) -> tuple[bytes, bytes]:
+        order = tuple(chain.from_iterable(self.component_arcs))
+        pairs = zip(self.crossings, self.over_in)
+        # Every sublink arrives position-numbered: no relabel is needed.
+        if order != tuple(range(1, len(order) + 1)):
+            relabel = dict(zip(order, count(1)))
+            pairs = ((tuple([relabel[x] for x in cr]), oi) for cr, oi in pairs)
+        key = marshal.dumps(
+            (tuple(sorted(pairs)), self.components, self.unknotted_components), 2)
         markers = tuple(c for c, arcs in enumerate(self.component_arcs) if not arcs)
-        return key, key + (self.framings, markers)
+        return key, key + marshal.dumps((self.framings, markers), 2)
 
     # -- serialization ------------------------------------------------------
 
@@ -365,14 +384,15 @@ def _is_int(value) -> bool:
 
 
 def _checked_framings(framings: Sequence[int], total: int) -> tuple[int, ...]:
-    """The framings as a tuple; anything but ``total`` ints (bools, floats
-    and strings included) raises ``DiagramError``."""
+    """The framings as a tuple of plain ints (an ``IntEnum`` becomes its
+    value, which ``marshal`` can encode in a key); anything but ``total``
+    ints (bools, floats and strings included) raises ``DiagramError``."""
     framings = tuple(framings)
     if not all(_is_int(f) for f in framings):
         raise DiagramError(f"framings must be integers, got {framings!r}")
     if len(framings) != total:
         raise DiagramError(f"expected {total} framings, got {len(framings)}")
-    return framings
+    return tuple(map(int, framings))
 
 
 def pd_violations(crossings: Sequence[Sequence[int]]) -> list[str]:
@@ -783,7 +803,7 @@ class SurgeryPresentation:
     def sub_presentation(self, keep: Iterable[int]) -> "SurgeryPresentation":
         return SurgeryPresentation(sublink(self.diagram, keep))
 
-    def canonical_key(self) -> tuple:
+    def canonical_key(self) -> bytes:
         return self.diagram.canonical_key(include_framings=True)
 
 

@@ -41,7 +41,8 @@ class InvariantFunction:
     evaluate: Callable[[SurgeryPresentation], Fraction]
 
     def __call__(self, sp: SurgeryPresentation) -> Fraction:
-        return Fraction(self.evaluate(sp))
+        value = self.evaluate(sp)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
 
 CASSON = InvariantFunction("casson", casson_invariant)

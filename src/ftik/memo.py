@@ -1,7 +1,9 @@
 """The memo layer: every per-diagram value that ftik caches lives here.
 
 Each diagram table is keyed by ``LinkDiagram.canonical_key`` (the framed
-key for the surgery sums).  Equal keys mean equal diagrams up to arc
+key for the surgery sums), a ``bytes`` string built once per diagram; a
+``bytes`` object caches its hash, so a repeated lookup does not hash the
+crossing list again.  Equal keys mean equal diagrams up to arc
 names, so a hit returns exactly what a fresh computation would and every
 memoized function stays observably pure.  The key is invariant only under
 renamings that keep the order of arc ids, so the hit rate, not the

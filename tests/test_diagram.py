@@ -1,7 +1,10 @@
 """Diagram construction, validation, serialization, and moves."""
 
+import collections
 import dataclasses
 import json
+import marshal
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -145,6 +148,70 @@ def test_canonical_key_kept_on_the_diagram():
     assert d.canonical_key(include_framings=True)[: len(key)] == key
 
 
+class _One(IntEnum):
+    ONE = 1
+
+
+def test_canonical_key_is_deterministic_bytes():
+    # A position-numbered knot with 302 arcs: ints above 256 are not
+    # shared objects, so a marshal format with back-references would
+    # encode two equal diagrams whose arcs are distinct objects apart.
+    d = sublink(closed_braid(2, [(0, 1)] * 151), [0])
+    copy = LinkDiagram(
+        tuple(tuple(int(str(x)) for x in cr) for cr in d.crossings),
+        d.over_in,
+        tuple(tuple(int(str(a)) for a in cycle) for cycle in d.component_arcs),
+        d.framings,
+    )
+    assert copy == d
+    assert type(d.canonical_key()) is bytes and type(d.canonical_key(True)) is bytes
+    assert copy.canonical_key() == d.canonical_key()
+    assert copy.canonical_key(True) == d.canonical_key(True)
+    # Framings of any size key apart, and an IntEnum keys as its value,
+    # as a framing and as an arc alike.
+    framed = {with_framings(d, [f]).canonical_key(True) for f in (2**70, -(2**70), 2**70 + 1)}
+    assert len(framed) == 3
+    assert (with_framings(d, [_One.ONE]).canonical_key(True)
+            == with_framings(d, [1]).canonical_key(True))
+    enum_arcs = LinkDiagram.from_pd(
+        [[_One.ONE if x == 1 else x for x in cr] for cr in TREFOIL_PD], [_One.ONE])
+    trefoil = LinkDiagram.from_pd(TREFOIL_PD, [1])
+    assert enum_arcs.canonical_key(True) == trefoil.canonical_key(True)
+
+
+_CACHED = ("_component_pairs", "_strand_walks", "_adjacency", "pieces", "_linking_numbers",
+           "_keys")
+
+
+def test_cached_attributes_are_computed_once_per_instance(monkeypatch):
+    d = catalog.get("borromean-plus1").diagram
+    for name in _CACHED:
+        getattr(d, name)
+    # dataclasses.replace builds a new instance, which carries no value.
+    fresh = dataclasses.replace(d)
+    assert not set(_CACHED) & set(vars(fresh))
+    calls = collections.Counter()
+
+    def counted(fn, name):
+        def wrapper(obj):
+            calls[name] += 1
+            return fn(obj)
+        return wrapper
+
+    for name in _CACHED:
+        descriptor = LinkDiagram.__dict__[name]
+        # Read on the class, the attribute is the descriptor itself.
+        assert getattr(LinkDiagram, name) is descriptor
+        monkeypatch.setattr(descriptor, "fn", counted(descriptor.fn, name))
+    for _ in range(3):
+        SurgeryPresentation(fresh)
+        fresh.canonical_key(True)
+        fresh.piece_masks(0b11)
+        sublink(fresh, [0, 1])
+        assert fresh.pieces == (0b111,)
+    assert calls == dict.fromkeys(_CACHED, 1)
+
+
 def assert_key_reads_the_position_numbering(d):
     # The full sublink numbers the arcs 1..N in component order, and the
     # key's body is its sorted crossings; renaming the arcs in an
@@ -152,7 +219,7 @@ def assert_key_reads_the_position_numbering(d):
     full = sublink(d, range(d.components))
     arcs = [a for cycle in full.component_arcs for a in cycle]
     assert arcs == list(range(1, len(arcs) + 1))
-    assert tuple(sorted(zip(full.crossings, full.over_in))) == d.canonical_key()[0]
+    assert tuple(sorted(zip(full.crossings, full.over_in))) == marshal.loads(d.canonical_key())[0]
     renamed = LinkDiagram(
         tuple(tuple(2 * x + 7 for x in cr) for cr in d.crossings),
         d.over_in,
